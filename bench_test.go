@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
-	"repro/internal/cpp"
 	"repro/internal/facts"
 	"repro/internal/gitlog"
 	"repro/internal/mine"
@@ -72,13 +71,17 @@ func kernelCorpus() (*corpus.Corpus, []cpg.Source) {
 	return corp, corpSources
 }
 
-func buildUnit() *cpg.Unit {
-	return buildUnitWorkers(0)
-}
-
-func buildUnitWorkers(workers int) *cpg.Unit {
+// analyzeCorpus runs core.Analyze, uncached and unconfirmed, over the
+// shared kernel corpus at the given worker count.
+func analyzeCorpus(workers int) *core.Run {
 	c, sources := kernelCorpus()
-	return (&cpg.Builder{Headers: cpp.NewIndexedFiles(c.Headers), Workers: workers}).Build(sources)
+	run, err := core.Analyze(context.Background(), core.Request{
+		Sources: sources, Headers: c.Headers, Options: core.Options{Workers: workers},
+	})
+	if err != nil {
+		panic("analyzeCorpus: " + err.Error())
+	}
+	return run
 }
 
 // BenchmarkFigure1GrowthTrend mines the history and computes the per-year
@@ -175,9 +178,7 @@ func BenchmarkTable4NewBugs(b *testing.B) {
 	var tot study.Table4Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := buildUnit()
-		reports := core.NewEngine().CheckUnit(unit)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, analyzeCorpus(0).Reports)
 		tot = study.Total(nb.Table4())
 	}
 	b.ReportMetric(float64(tot.NewBugs), "new_bugs")
@@ -196,9 +197,7 @@ func BenchmarkTable5ModuleDetail(b *testing.B) {
 	var rows []study.Table5Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := buildUnit()
-		reports := core.NewEngine().CheckUnit(unit)
-		rows = study.EvaluateNewBugs(c, reports).Table5()
+		rows = study.EvaluateNewBugs(c, analyzeCorpus(0).Reports).Table5()
 	}
 	var arm, clk float64
 	for _, r := range rows {
@@ -279,8 +278,8 @@ func BenchmarkAblationSmartLoopRegistry(b *testing.B) {
 	var withP3, withoutP3, extraWithout float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := buildUnit()
-		full := core.NewEngine().CheckUnit(unit)
+		run := analyzeCorpus(0)
+		unit, full := run.Unit, run.Reports
 		n := 0
 		for _, r := range full {
 			if r.Pattern == core.P3 {
@@ -292,7 +291,7 @@ func BenchmarkAblationSmartLoopRegistry(b *testing.B) {
 		for _, l := range unit.DB.Loops() {
 			unit.DB.DeleteLoop(l.Name)
 		}
-		ablated := core.NewEngine().CheckUnit(unit)
+		ablated := core.NewEngine().CheckUnitFactsContext(context.Background(), facts.NewUnit(unit))
 		n = 0
 		for _, r := range ablated {
 			if r.Pattern == core.P3 {
@@ -316,9 +315,7 @@ func BenchmarkAblationConfirmation(b *testing.B) {
 	var confirmed, rejected, naive float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := buildUnit()
-		reports := core.NewEngine().CheckUnit(unit)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, analyzeCorpus(0).Reports)
 		tot := study.Total(nb.Table4())
 		confirmed = float64(tot.CFM)
 		rejected = float64(tot.PR)
@@ -332,7 +329,7 @@ func BenchmarkAblationConfirmation(b *testing.B) {
 // BenchmarkCheckerPipeline measures the raw analysis throughput: source
 // bytes through cpp → parse → CFG → CPG → nine checkers.
 func BenchmarkCheckerPipeline(b *testing.B) {
-	c, sources := kernelCorpus()
+	c, _ := kernelCorpus()
 	bytes := 0
 	for _, f := range c.Files {
 		bytes += len(f.Content)
@@ -341,8 +338,7 @@ func BenchmarkCheckerPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := (&cpg.Builder{Headers: cpp.NewIndexedFiles(c.Headers)}).Build(sources)
-		core.NewEngine().CheckUnit(unit)
+		analyzeCorpus(0)
 	}
 }
 
@@ -640,32 +636,34 @@ func BenchmarkPipelineObs(b *testing.B) {
 // BenchmarkCheckerPhase isolates the checking phase from the front end on a
 // prebuilt unit, in the two states the facts layer creates: "facts-cold"
 // computes every function's facts and runs the nine pattern queries
-// (CheckUnit on a fresh UnitFacts each iteration); "facts-warm" reuses a
+// (CheckUnitFactsContext on a fresh UnitFacts each iteration); "facts-warm"
+// reuses a
 // fully memoized UnitFacts, so each iteration is the pattern queries alone —
 // the work a -checkers run pays after a facts-cache hit. The gap between the
 // two is the cost the shared facts layer computes exactly once.
 // scripts/bench_pipeline.sh records both in BENCH_pipeline.json as the
 // checker-phase timing.
 func BenchmarkCheckerPhase(b *testing.B) {
-	unit := buildUnit()
+	ctx := context.Background()
+	unit := analyzeCorpus(0).Unit
 
 	b.Run("facts-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		var reports []core.Report
 		for i := 0; i < b.N; i++ {
-			reports = core.NewEngine().CheckUnit(unit)
+			reports = core.NewEngine().CheckUnitFactsContext(ctx, facts.NewUnit(unit))
 		}
 		b.ReportMetric(float64(len(reports)), "reports")
 	})
 
 	b.Run("facts-warm", func(b *testing.B) {
 		uf := facts.NewUnit(unit)
-		core.NewEngine().CheckUnitFacts(uf) // memoize every function's facts
+		core.NewEngine().CheckUnitFactsContext(ctx, uf) // memoize every function's facts
 		b.ReportAllocs()
 		b.ResetTimer()
 		var reports []core.Report
 		for i := 0; i < b.N; i++ {
-			reports = core.NewEngine().CheckUnitFacts(uf)
+			reports = core.NewEngine().CheckUnitFactsContext(ctx, uf)
 		}
 		b.ReportMetric(float64(len(reports)), "reports")
 	})
@@ -673,10 +671,7 @@ func BenchmarkCheckerPhase(b *testing.B) {
 
 // BenchmarkRefsimReplay measures the dynamic oracle in isolation.
 func BenchmarkRefsimReplay(b *testing.B) {
-	c, _ := kernelCorpus()
-	unit := buildUnit()
-	reports := core.NewEngine().CheckUnit(unit)
-	_ = c
+	reports := analyzeCorpus(0).Reports
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range reports {
@@ -702,8 +697,11 @@ func BenchmarkCheckerScaling(b *testing.B) {
 			b.SetBytes(int64(bytes))
 			var n int
 			for i := 0; i < b.N; i++ {
-				unit := (&cpg.Builder{Headers: cpp.NewIndexedFiles(c.Headers)}).Build(sources)
-				n = len(core.NewEngine().CheckUnit(unit))
+				run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: c.Headers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n = len(run.Reports)
 			}
 			b.ReportMetric(c.KLOC(), "kloc")
 			b.ReportMetric(float64(n), "reports")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"text/tabwriter"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
-	"repro/internal/cpp"
 	"repro/internal/study"
 )
 
@@ -25,14 +25,16 @@ func main() {
 	for _, f := range c.Files {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	unit := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
+	run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: c.Headers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("lexer parsing discovered %d refcounted structs, %d wrapper APIs, %d smartloops\n",
-		len(unit.DiscoveredStructs), len(unit.DiscoveredAPIs), len(unit.DiscoveredLoops))
+		run.Summary.DiscoveredStructs, run.Summary.DiscoveredAPIs, run.Summary.DiscoveredLoops)
+	fmt.Printf("checkers produced %d reports\n\n", len(run.Reports))
 
-	reports := core.NewEngine().CheckUnit(unit)
-	fmt.Printf("checkers produced %d reports\n\n", len(reports))
-
-	nb := study.EvaluateNewBugs(c, reports)
+	nb := study.EvaluateNewBugs(c, run.Reports)
 	rows := nb.Table4()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "subsystem\tnew bugs\tleak\tuaf\tnpd\tcfm\tpr\tnr\tfp")

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,11 +11,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
-	"repro/internal/cpp"
 	"repro/internal/gitlog"
 	"repro/internal/mine"
 	"repro/internal/study"
 )
+
+// analyzeReports runs core.Analyze, uncached and unconfirmed, and returns
+// its reports.
+func analyzeReports(t *testing.T, sources []cpg.Source, headers map[string]string) []core.Report {
+	t.Helper()
+	run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: headers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.Reports
+}
 
 // TestDiskRoundTrip writes the corpus to a real directory (the refgen path),
 // reads it back through the filesystem (the refcheck path), and verifies the
@@ -65,15 +76,13 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatalf("read %d files, wrote %d", len(sources), len(c.Files))
 	}
 
-	diskUnit := (&cpg.Builder{Headers: cpp.MapFiles(headers)}).Build(sources)
-	diskReports := core.NewEngine().CheckUnit(diskUnit)
+	diskReports := analyzeReports(t, sources, headers)
 
 	var memSources []cpg.Source
 	for _, f := range c.Files {
 		memSources = append(memSources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	memUnit := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(memSources)
-	memReports := core.NewEngine().CheckUnit(memUnit)
+	memReports := analyzeReports(t, memSources, c.Headers)
 
 	if len(diskReports) != len(memReports) {
 		t.Fatalf("disk %d reports, memory %d", len(diskReports), len(memReports))
@@ -112,9 +121,7 @@ func TestCrossSeedStability(t *testing.T) {
 		for _, f := range c.Files {
 			sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 		}
-		u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
-		reports := core.NewEngine().CheckUnit(u)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, analyzeReports(t, sources, c.Headers))
 		if len(nb.Missed) != 0 {
 			t.Errorf("seed %d: missed %d planned bugs", seed, len(nb.Missed))
 		}
@@ -137,8 +144,7 @@ func TestCorpusScaling(t *testing.T) {
 	for _, f := range c.Files {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
-	reports := core.NewEngine().CheckUnit(u)
+	reports := analyzeReports(t, sources, c.Headers)
 	nb := study.EvaluateNewBugs(c, reports)
 	if len(nb.Missed) != 0 {
 		t.Fatalf("missed %d planned bugs at %0.1f KLOC", len(nb.Missed), c.KLOC())
@@ -175,8 +181,7 @@ func TestReproducePipelineSmoke(t *testing.T) {
 	for _, f := range c.Files {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
-	nb := study.EvaluateNewBugs(c, core.NewEngine().CheckUnit(u))
+	nb := study.EvaluateNewBugs(c, analyzeReports(t, sources, c.Headers))
 	tot := study.Total(nb.Table4())
 	if tot.NewBugs != len(c.Planned) || tot.PR != 3 || tot.FP != len(c.Baits) {
 		t.Errorf("table 4 totals off: %+v", tot)

@@ -18,10 +18,11 @@
 // behind P6 (probe/remove, open/release, ...). Appendix A's error-prone API
 // inventory (Table 6) is reproduced by Table6 in table6.go.
 //
-// Beyond the static seed, Discover implements the paper's "lexer parsing"
-// stage (§6.1): it scans parsed sources for refcounted structures (those
-// containing refcount_t/kref/kobject/atomic_t fields), classifies functions
-// that operate on them as refcounting APIs, and registers loop macros whose
+// Beyond the static seed, discovery implements the paper's "lexer parsing"
+// stage (§6.1): ObserveFile records what each parsed source declares and
+// Apply replays those observations to register refcounted structures (those
+// containing refcount_t/kref/kobject/atomic_t fields), classify functions
+// that operate on them as refcounting APIs, and register loop macros whose
 // bodies call embedded refcounting APIs as smartloops.
 package apidb
 
@@ -113,7 +114,7 @@ type API struct {
 	// Struct is the counted structure's name, when known ("device_node").
 	Struct string
 
-	// Discovered is set for APIs found by Discover rather than seeded.
+	// Discovered is set for APIs found by discovery rather than seeded.
 	Discovered bool
 }
 
@@ -128,7 +129,7 @@ type SmartLoop struct {
 	PutAPI string
 	// EmbeddedAPI is the find-like API invoked by the loop header.
 	EmbeddedAPI string
-	// Discovered is set for loops found by Discover.
+	// Discovered is set for loops found by discovery.
 	Discovered bool
 }
 
@@ -224,7 +225,7 @@ var incKeywords = []string{"get", "take", "hold", "grab", "ref", "retain"}
 var decKeywords = []string{"put", "drop", "unhold", "release", "unref", "free"}
 
 // KeywordOp guesses the operation from an API name using the paper's keyword
-// lists. This is the *first-level* filter only; Lookup/Discover confirm.
+// lists. This is the *first-level* filter only; Lookup/discovery confirm.
 func KeywordOp(name string) Op {
 	lower := strings.ToLower(name)
 	parts := strings.Split(lower, "_")

@@ -117,75 +117,6 @@ func dumpDB(db *DB) string {
 	return b.String()
 }
 
-// TestApplyMatchesDiscover is the exchange-determinism pin at the apidb
-// layer: extracting per-file observations independently and replaying them
-// once through Apply must leave the DB in exactly the state the legacy
-// whole-corpus Discover* sequence produces, and report the same added names.
-func TestApplyMatchesDiscover(t *testing.T) {
-	parsed := parseCorpus(t)
-
-	// Path A: the whole-corpus scan (as BuildContext historically ran it).
-	dbA := New()
-	var files []*cast.File
-	macros := map[string]*cpp.Macro{}
-	for _, p := range parsed {
-		files = append(files, p.file)
-		for k, v := range p.macros {
-			macros[k] = v
-		}
-	}
-	wantStructs := dbA.DiscoverStructs(files)
-	wantAPIs := dbA.DiscoverAPIs(files)
-	wantLoops := dbA.DiscoverLoops(macros)
-	wantDevs := dbA.DiscoverDeviations(files)
-
-	// Path B: per-file observation (as shard workers run it) + one replay.
-	dbB := New()
-	var obs []FileObs
-	for _, p := range parsed {
-		obs = append(obs, ObserveFile(p.path, p.file, p.macros))
-	}
-	disc := dbB.Apply(obs)
-
-	if got, want := dumpDB(dbB), dumpDB(dbA); got != want {
-		t.Errorf("replayed DB differs from scanned DB:\n--- scan ---\n%s--- replay ---\n%s", want, got)
-	}
-	checkSame := func(what string, got, want []string) {
-		t.Helper()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: replay added %v, scan added %v", what, got, want)
-		}
-	}
-	checkSame("structs", disc.Structs, wantStructs)
-	checkSame("apis", disc.APIs, wantAPIs)
-	checkSame("loops", disc.Loops, wantLoops)
-	checkSame("deviations", disc.Deviations, wantDevs)
-
-	// The corpus must actually exercise the interesting cases, or the
-	// equivalence above proves nothing.
-	if a := dbB.Lookup("obj_hold"); a == nil || a.Op != OpInc {
-		t.Errorf("obj_hold should be a discovered inc wrapper, got %+v", a)
-	}
-	if a := dbB.Lookup("obj_hold_err"); a == nil || !a.IncOnError {
-		t.Errorf("obj_hold_err should be IncOnError, got %+v", a)
-	}
-	if a := dbB.Lookup("outer_get"); a == nil || !a.IncOnError {
-		t.Errorf("outer_get should be IncOnError via tail-call helper, got %+v", a)
-	}
-	if a := dbB.Lookup("obj_find"); a != nil {
-		t.Errorf("obj_find works on a local, must stay unclassified, got %+v", a)
-	}
-	if a := dbB.Lookup("obj_find_ref"); a == nil || !a.ReturnsRef {
-		t.Errorf("obj_find_ref should be a returns-ref inc, got %+v", a)
-	}
-	if dbB.Lookup("early_hold") != nil {
-		t.Error("early_hold's target sorts later; the scan misses it and so must the replay")
-	}
-	if dbB.Loop("my_for_each_obj") == nil {
-		t.Error("my_for_each_obj smartloop missing")
-	}
-}
-
 // TestApplyShardInvariant: observations may be *extracted* in any sharding,
 // but once concatenated in sorted path order the replay is a pure function
 // of that sequence — shard count cannot change the result.
@@ -198,6 +129,30 @@ func TestApplyShardInvariant(t *testing.T) {
 	dbWhole := New()
 	discWhole := dbWhole.Apply(whole)
 	want := dumpDB(dbWhole)
+
+	// The corpus must actually exercise the order-sensitive cases, or the
+	// shard invariance below proves nothing.
+	if a := dbWhole.Lookup("obj_hold"); a == nil || a.Op != OpInc {
+		t.Errorf("obj_hold should be a discovered inc wrapper, got %+v", a)
+	}
+	if a := dbWhole.Lookup("obj_hold_err"); a == nil || !a.IncOnError {
+		t.Errorf("obj_hold_err should be IncOnError, got %+v", a)
+	}
+	if a := dbWhole.Lookup("outer_get"); a == nil || !a.IncOnError {
+		t.Errorf("outer_get should be IncOnError via tail-call helper, got %+v", a)
+	}
+	if a := dbWhole.Lookup("obj_find"); a != nil {
+		t.Errorf("obj_find works on a local, must stay unclassified, got %+v", a)
+	}
+	if a := dbWhole.Lookup("obj_find_ref"); a == nil || !a.ReturnsRef {
+		t.Errorf("obj_find_ref should be a returns-ref inc, got %+v", a)
+	}
+	if dbWhole.Lookup("early_hold") != nil {
+		t.Error("early_hold's target sorts later, so the file-order replay must miss it")
+	}
+	if dbWhole.Loop("my_for_each_obj") == nil {
+		t.Error("my_for_each_obj smartloop missing")
+	}
 
 	for _, shards := range []int{2, 3, len(parsed)} {
 		// Round-robin partition, then merge shard outputs back in path order

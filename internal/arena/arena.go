@@ -49,6 +49,18 @@ type Stats struct {
 	Released atomic.Int64
 }
 
+// Add accumulates o's counters into st, so per-shard stats can be merged
+// into one build's totals. A nil o adds nothing.
+func (st *Stats) Add(o *Stats) {
+	if o == nil {
+		return
+	}
+	st.Bytes.Add(o.Bytes.Load())
+	st.Chunks.Add(o.Chunks.Load())
+	st.Reused.Add(o.Reused.Load())
+	st.Released.Add(o.Released.Load())
+}
+
 func (st *Stats) addAlloc(bytes int) {
 	if st != nil {
 		st.Bytes.Add(int64(bytes))

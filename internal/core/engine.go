@@ -2,24 +2,22 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/cast"
-	"repro/internal/cpg"
 	"repro/internal/cpp"
 	"repro/internal/facts"
 	"repro/internal/obs"
 	"repro/internal/refsim"
 	"repro/internal/semantics"
+	"repro/internal/workpool"
 )
 
 // Checker is one anti-pattern detector, written as a query over the shared
 // facts layer. Function-scoped checkers receive one function's immutable
 // FunctionFacts at a time; unit-scoped checkers (P6) receive the whole unit
-// via CheckUnit and return nil from Check.
+// via UnitChecker.CheckUnit and return nil from Check.
 //
 // Checkers that own only part of a diagnosis emit candidates tagged with a
 // DeferralReason instead of skipping them inline — the engine's precedence
@@ -53,19 +51,6 @@ type Engine struct {
 	Obs *obs.Span
 }
 
-// CheckUnit computes the unit's facts and runs every checker over them; see
-// CheckUnitFacts for the engine proper.
-func (e *Engine) CheckUnit(u *cpg.Unit) []Report {
-	return e.CheckUnitFacts(facts.NewUnit(u))
-}
-
-// CheckUnitFacts runs every checker over the shared facts layer and returns
-// deduplicated, position-sorted reports. It is CheckUnitFactsContext with a
-// background context.
-func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
-	return e.CheckUnitFactsContext(context.Background(), uf)
-}
-
 // CheckUnitFactsContext runs every checker over the shared facts layer and
 // returns deduplicated, position-sorted reports. Each function's facts are
 // computed exactly once (UnitFacts memoizes under sync.Once) no matter how
@@ -77,10 +62,6 @@ func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
 // return covers only the functions checked before cancellation; callers that
 // must distinguish a partial result check ctx.Err().
 func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts) []Report {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	reg := e.Obs.Reg()
 
 	// Defined functions in name order — the unit of work.
@@ -114,55 +95,18 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 		}
 	}
 
-	// Unit-scoped checkers (P6) stay on the coordinating goroutine while
-	// the function queue drains on workers; concurrent facts access is
-	// safe because UnitFacts memoizes per function.
+	// Unit-scoped checkers (P6) run first, on the coordinating goroutine;
+	// the function queue is fed only after they return, so the two never
+	// overlap. Facts either side computes are memoized in UnitFacts.
 	unitResults := make([][]Report, len(e.Checkers))
-	runUnitScoped := func() {
-		for ci, c := range e.Checkers {
-			if uc, ok := c.(UnitChecker); ok {
-				sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
-				unitResults[ci] = uc.CheckUnit(uf)
-				sp.Int("candidates", len(unitResults[ci])).End()
-			}
+	for ci, c := range e.Checkers {
+		if uc, ok := c.(UnitChecker); ok {
+			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
+			unitResults[ci] = uc.CheckUnit(uf)
+			sp.Int("candidates", len(unitResults[ci])).End()
 		}
 	}
-
-	checked := 0
-	if workers > 1 && len(fns) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for fi := range jobs {
-					checkFn(fi)
-				}
-			}()
-		}
-		runUnitScoped()
-	feed:
-		for fi := range fns {
-			select {
-			case jobs <- fi:
-				checked++
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		runUnitScoped()
-		for fi := range fns {
-			if ctx.Err() != nil {
-				break
-			}
-			checkFn(fi)
-			checked++
-		}
-	}
+	checked := workpool.Run(ctx, e.Workers, len(fns), checkFn)
 
 	// Merge in checker-major, function-name order — exactly the order the
 	// sequential loop produced, so finalize sees an identical input stream
@@ -194,7 +138,7 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 // Options configures the one-call pipeline.
 type Options struct {
 	// Workers is the single parallelism knob, threaded through the CPG
-	// builder (file-sharded phase 1, per-function phase 3), the checker
+	// builder (file-sharded front end, per-function assembly), the checker
 	// engine, and — when Confirm is set — the refsim confirmation stage.
 	// 0 means GOMAXPROCS; 1 forces a fully sequential run. Output is
 	// byte-identical at any worker count.

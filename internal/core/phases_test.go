@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apidb"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
+	"repro/internal/obs"
 )
 
 // phasesSpec is a compact corpus covering every anti-pattern family plus a
@@ -49,13 +51,13 @@ func phasesCorpus() ([]cpg.Source, map[string]string) {
 
 // runPhased drives the four-phase pipeline in-process at a given shard count,
 // exactly as the multi-process manager does (minus the wire, which
-// cpg's codec tests pin separately).
-func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shards int, opt Options) *Run {
+// cpg's codec tests pin separately), tracing into tr.
+func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shards int, opt Options, tr *obs.Trace) *Run {
 	t.Helper()
 	ctx := context.Background()
 	db := apidb.New()
 	opt.DB = db
-	req := Request{Sources: srcs, Headers: headers, Options: opt}
+	req := Request{Sources: srcs, Headers: headers, Options: opt, Trace: tr}
 
 	var arts []*cpg.ShardArtifact
 	for _, shard := range Partition(srcs, shards) {
@@ -65,7 +67,9 @@ func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shard
 		}
 		arts = append(arts, art)
 	}
+	xsp := tr.Root().Child("phase:exchange")
 	merged, disc := Exchange(db, arts)
+	xsp.End()
 	run, err := GlobalPass(ctx, req, merged, disc)
 	if err != nil {
 		t.Fatalf("shards=%d: GlobalPass: %v", shards, err)
@@ -73,23 +77,57 @@ func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shard
 	return run
 }
 
+// phaseView is what a traced run exposes about the path it took: the set of
+// top-level phase span names and the pipeline's work counters.
+func phaseView(tr *obs.Trace) (phases map[string]bool, counters map[string]int64) {
+	phases = map[string]bool{}
+	for _, ph := range obs.Stats(tr).Phases {
+		phases[ph.Name] = true
+	}
+	counters = map[string]int64{}
+	for name, v := range tr.Reg().Counters() {
+		if strings.HasPrefix(name, "frontend.") || strings.HasPrefix(name, "reports.") ||
+			strings.HasPrefix(name, "cache.facts.") || name == "checker.functions" {
+			counters[name] = v
+		}
+	}
+	return phases, counters
+}
+
 // TestPhasedPipelineMatchesAnalyze is the core-layer determinism pin:
 // Partition → LocalPass per shard → Exchange → GlobalPass must reproduce
 // Analyze's reports and summary exactly at every shard count, including
-// shard counts exceeding the file count.
+// shard counts exceeding the file count. At shards 1 and 3 the traced runs
+// must also agree on the phases they ran and the work they counted: Analyze
+// is the same phases in one process, not a parallel implementation.
 func TestPhasedPipelineMatchesAnalyze(t *testing.T) {
 	srcs, headers := phasesCorpus()
 	opt := Options{Workers: 2, Confirm: true}
-	want, err := Analyze(context.Background(), Request{Sources: srcs, Headers: headers, Options: opt})
+	atr := obs.New("analyze")
+	want, err := Analyze(context.Background(), Request{Sources: srcs, Headers: headers, Options: opt, Trace: atr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Reports) == 0 {
 		t.Fatal("reference run produced no reports")
 	}
+	wantPhases, wantCounters := phaseView(atr)
+	if !wantPhases["phase:exchange"] || wantCounters["checker.functions"] == 0 {
+		t.Fatalf("Analyze trace lacks the phased pipeline: phases %v, counters %v", wantPhases, wantCounters)
+	}
 
 	for _, shards := range []int{1, 2, 3, 7, len(srcs) + 5} {
-		run := runPhased(t, srcs, headers, shards, opt)
+		tr := obs.New("phased")
+		run := runPhased(t, srcs, headers, shards, opt, tr)
+		if shards == 1 || shards == 3 {
+			phases, counters := phaseView(tr)
+			if !reflect.DeepEqual(phases, wantPhases) {
+				t.Errorf("shards=%d: phases %v, Analyze ran %v", shards, phases, wantPhases)
+			}
+			if !reflect.DeepEqual(counters, wantCounters) {
+				t.Errorf("shards=%d: counters %v, Analyze counted %v", shards, counters, wantCounters)
+			}
+		}
 		if !reflect.DeepEqual(run.Reports, want.Reports) {
 			t.Errorf("shards=%d: reports differ from Analyze (%d vs %d)",
 				shards, len(run.Reports), len(want.Reports))

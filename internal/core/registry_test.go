@@ -126,12 +126,12 @@ func TestEngineFactsComputedOnce(t *testing.T) {
 		uf := facts.NewUnit(u)
 		e := NewEngine()
 		e.Workers = workers
-		e.CheckUnitFacts(uf)
+		e.CheckUnitFactsContext(context.Background(), uf)
 		if got, want := uf.Computes(), int64(len(uf.FunctionNames())); got != want {
 			t.Fatalf("workers=%d: facts computed %d times, want %d (once per function)", workers, got, want)
 		}
 		// A second pass over the same UnitFacts recomputes nothing.
-		e.CheckUnitFacts(uf)
+		e.CheckUnitFactsContext(context.Background(), uf)
 		if got, want := uf.Computes(), int64(len(uf.FunctionNames())); got != want {
 			t.Fatalf("re-check recomputed facts: %d != %d", got, want)
 		}

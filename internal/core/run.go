@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/analysiscache"
+	"repro/internal/apidb"
 	"repro/internal/cpg"
 	"repro/internal/facts"
 	"repro/internal/obs"
@@ -193,89 +194,45 @@ func decodeFactsValue(data []byte) (any, error) {
 // report slice is copied because confirmation writes Confirmed per report
 // while the entry stays shared via L1; the witnesses underneath are
 // replayed read-only, so they can stay shared.
-func serveCached(run *Run, ent *unitEntry, req Request, root *obs.Span, reg *obs.Registry) {
+func serveCached(run *Run, ent *unitEntry, req Request, reg *obs.Registry) {
 	reg.Add("pipeline.files_skipped", int64(len(req.Sources)))
 	run.Reports = append([]Report(nil), ent.Reports...)
 	run.Summary = ent.Summary
-	if req.Options.Confirm {
-		csp := root.Child("phase:confirm")
-		ConfirmReportsSpan(run.Reports, req.Options.Workers, csp)
-		csp.End()
+	confirm(run, req.Options)
+}
+
+// runPhases is Analyze's computation on a miss: a non-retaining local pass
+// over all sources, the exchange into opt.DB (a fresh DB when nil), and the
+// global pass, all in this process. key and fKey name the cache entries the
+// global pass stores (unused when uncached).
+func runPhases(ctx context.Context, req Request, engine *Engine, key, fKey string, run *Run) (*unitEntry, error) {
+	art, err := LocalPassInProcess(ctx, req, req.Sources)
+	if err != nil {
+		return nil, err
+	}
+	if req.Options.DB == nil {
+		req.Options.DB = apidb.New()
+	}
+	xsp := req.Trace.Root().Child("phase:exchange")
+	merged, disc := Exchange(req.Options.DB, []*cpg.ShardArtifact{art})
+	xsp.Int("structs", len(disc.Structs)).Int("apis", len(disc.APIs)).Int("loops", len(disc.Loops)).End()
+	return globalPass(ctx, req, engine, key, fKey, merged, disc, run)
+}
+
+// confirm runs the refsim confirmation phase over run's reports when
+// opt.Confirm is set.
+func confirm(run *Run, opt Options) {
+	if opt.Confirm {
+		sp := run.Trace.Root().Child("phase:confirm")
+		ConfirmReportsSpan(run.Reports, opt.Workers, sp)
+		sp.End()
 	}
 }
 
-// analyzePipeline is the full build→facts→check→store pipeline shared by
-// the uncached path and the single-flight leader. It mutates run in place
-// (so a cancelled call still leaves the partial Run visible to the caller)
-// and returns the stored unit entry when a cache is present. Confirmation
-// is the caller's job — the entry must stay confirmation-agnostic.
-func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *analysiscache.Cache, key, fKey string, run *Run, root *obs.Span, reg *obs.Registry) (*unitEntry, error) {
-	opt := req.Options
-	bsp := root.Child("phase:build")
-	b := &cpg.Builder{DB: opt.DB, Workers: opt.Workers, Cache: cache, Obs: bsp}
-	if req.Headers != nil {
-		b.Headers = newHeaderProvider(req.Headers)
-	}
-	u := b.BuildContext(ctx, req.Sources)
-	bsp.End()
-	run.Unit = u
-	run.Summary = summarize(u)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	uf := facts.NewUnit(u)
-	factsHit := false
-	if cache != nil {
-		if v, ok := cache.GetValue(fKey, decodeFactsValue); ok {
-			// The snapshot may be L1-shared across runs; Preload only reads
-			// it, and checkers treat facts as immutable.
-			factsHit = uf.Preload(v.(map[string]*facts.Data))
-		}
-		if factsHit {
-			reg.Add("cache.facts.hit", 1)
-		} else {
-			reg.Add("cache.facts.miss", 1)
-		}
-	}
-	csp := root.Child("phase:check")
-	engine.Obs = csp
-	reports := engine.CheckUnitFactsContext(ctx, uf)
-	csp.End()
-	uf.Observe(reg)
-	run.Reports = reports
-	if err := ctx.Err(); err != nil {
-		// A cancelled check may have skipped functions; the partial report
-		// list must never be cached under the full corpus key.
-		return nil, err
-	}
-
-	var ent *unitEntry
-	if cache != nil {
-		ssp := root.Child("phase:cache-store")
-		// Store before confirmation so the entry is confirmation-agnostic; a
-		// write failure only costs the next run a recompute. PutValue lands
-		// the decoded entry in L1 and queues the bytes for the disk tier's
-		// batch; the explicit Flush makes this run's entries durable and
-		// visible to other processes without waiting for thresholds.
-		ent = &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(reports)}
-		_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-		if !factsHit {
-			// Snapshot forces any still-uncomputed functions (a subset run
-			// with only unit-scoped checkers may not have touched them all)
-			// so the facts entry always covers the whole unit.
-			snap := uf.Snapshot()
-			_ = cache.PutValue(fKey, snap, facts.EncodeSnapshot(snap))
-		}
-		_ = cache.Flush()
-		ssp.End()
-	}
-	return ent, nil
-}
-
-// Analyze is the pipeline entry point: it builds a unit from the request's
-// sources, checks it, and optionally confirms the reports, honoring ctx at
-// every phase and work-queue boundary.
+// Analyze is the pipeline entry point: it runs the phases of phases.go in
+// this process — LocalPassInProcess over all sources, Exchange, then the
+// global pass — and optionally confirms the reports, honoring ctx at every
+// phase and work-queue boundary.
 //
 // With no cache in the options it runs the full pipeline. With a cache set
 // it first consults the tiered unit-level report cache — the in-memory L1
@@ -284,10 +241,11 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 // computation runs under single-flight: N concurrent Analyze calls for the
 // same unit key on one cache perform one computation, the leader's stored
 // entry is shared with the waiters (counted as cache.singleflight.wait, and
-// served exactly like a cache hit: Unit stays nil). On a miss it also
-// threads the per-file front-end cache through the CPG builder so only
-// changed files are re-preprocessed, and preloads the per-function facts
-// entry so checking skips path enumeration and event normalization.
+// served exactly like a cache hit: Unit stays nil). On a miss the local
+// pass consults the per-file front-end cache so only changed files are
+// re-preprocessed, and the global pass preloads the per-function facts
+// entry so checking skips path enumeration and event normalization, then
+// stores the unit and facts entries.
 // Reports are byte-identical across {no cache, cold cache, warm cache,
 // L1-warm, facts-only hit, partial hit} at any worker count, with or
 // without a trace attached.
@@ -317,6 +275,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	if cache != nil && reg != nil {
 		cache = cache.WithRegistry(reg)
 	}
+	req.Options.Cache = cache
 
 	run := &Run{Trace: tr}
 	if cache == nil {
@@ -327,16 +286,12 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		if err != nil {
 			return run, err
 		}
-		_, perr := analyzePipeline(ctx, req, engine, nil, "", "", run, root, reg)
+		_, perr := runPhases(ctx, req, engine, "", "", run)
 		release()
 		if perr != nil {
 			return run, perr
 		}
-		if opt.Confirm {
-			fsp := root.Child("phase:confirm")
-			ConfirmReportsSpan(run.Reports, opt.Workers, fsp)
-			fsp.End()
-		}
+		confirm(run, opt)
 		return run, ctx.Err()
 	}
 
@@ -348,7 +303,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	sp.End()
 	if hit {
 		reg.Add("cache.unit.hit", 1)
-		serveCached(run, ent, req, root, reg)
+		serveCached(run, ent, req, reg)
 		return run, ctx.Err()
 	}
 	reg.Add("cache.unit.miss", 1)
@@ -371,7 +326,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		defer release()
 		reg.Add("cache.singleflight.leader", 1)
 		computed = true
-		ent, err := analyzePipeline(ctx, req, engine, cache, key, fKey, run, root, reg)
+		ent, err := runPhases(ctx, req, engine, key, fKey, run)
 		if err != nil {
 			return nil, err
 		}
@@ -384,13 +339,9 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	}
 	if !computed {
 		reg.Add("cache.singleflight.wait", 1)
-		serveCached(run, v.(*unitEntry), req, root, reg)
+		serveCached(run, v.(*unitEntry), req, reg)
 		return run, ctx.Err()
 	}
-	if opt.Confirm {
-		fsp := root.Child("phase:confirm")
-		ConfirmReportsSpan(run.Reports, opt.Workers, fsp)
-		fsp.End()
-	}
+	confirm(run, opt)
 	return run, ctx.Err()
 }

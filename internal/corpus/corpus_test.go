@@ -1,7 +1,7 @@
 package corpus
 
 import (
-	"strings"
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -78,31 +78,24 @@ func TestImpactShape(t *testing.T) {
 	}
 }
 
-func TestCorpusParsesCleanly(t *testing.T) {
-	c := Generate(Spec{Seed: 1})
+// analyze runs core.Analyze, uncached and unconfirmed, over c.
+func analyze(t *testing.T, c *Corpus) *core.Run {
+	t.Helper()
 	var sources []cpg.Source
 	for _, f := range c.Files {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	b := &cpg.Builder{Headers: headerProvider(c.Headers)}
-	u := b.Build(sources)
-	for _, e := range u.Errors {
-		t.Errorf("corpus error: %v", e)
+	run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: c.Headers})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return run
 }
 
-type headerProvider map[string]string
-
-func (m headerProvider) ReadFile(path string) (string, bool) {
-	if s, ok := m[path]; ok {
-		return s, true
+func TestCorpusParsesCleanly(t *testing.T) {
+	for _, e := range analyze(t, Generate(Spec{Seed: 1})).Unit.Errors {
+		t.Errorf("corpus error: %v", e)
 	}
-	for p, s := range m {
-		if strings.HasSuffix(p, "/"+path) {
-			return s, true
-		}
-	}
-	return "", false
 }
 
 // TestDetectionRecallPrecision is the central integration check: the nine
@@ -110,12 +103,7 @@ func (m headerProvider) ReadFile(path string) (string, bool) {
 // report extras only at the seeded false-positive baits.
 func TestDetectionRecallPrecision(t *testing.T) {
 	c := Generate(Spec{Seed: 1})
-	var sources []cpg.Source
-	for _, f := range c.Files {
-		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
-	}
-	u := (&cpg.Builder{Headers: headerProvider(c.Headers)}).Build(sources)
-	reports := core.NewEngine().CheckUnit(u)
+	reports := analyze(t, c).Reports
 
 	type key struct {
 		fn      string

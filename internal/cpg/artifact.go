@@ -2,9 +2,7 @@ package cpg
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/apidb"
 	"repro/internal/arena"
@@ -12,15 +10,16 @@ import (
 	"repro/internal/clex"
 	"repro/internal/cparse"
 	"repro/internal/cpp"
+	"repro/internal/obs"
+	"repro/internal/workpool"
 )
 
 // ArtFile is one translation unit's shard-local result: the expanded token
 // stream, the macro table, preprocessor errors, and the file's discovery
-// observation. It is the serializable projection of phase 1 — parse trees
-// deliberately stay out (the same trade the front-end cache makes: the
+// observation. It is the serializable projection of the front end — parse
+// trees deliberately stay out (the same trade the front-end cache makes: the
 // parser is cheap relative to preprocessing, and reparsing identical tokens
-// yields an identical AST), so a decoded ArtFile is reparsed during
-// assembly.
+// yields an identical AST), so a decoded ArtFile is reparsed by Hydrate.
 type ArtFile struct {
 	Path   string
 	Tokens []clex.Token
@@ -30,9 +29,8 @@ type ArtFile struct {
 	// file/errs are the in-memory fast path: a locally built artifact keeps
 	// its AST and full error list (cpp + parse) so the single-process build
 	// never reparses. After decode, file is nil and errs holds only the
-	// reconstituted preprocessor errors; assembleWith reparses and appends
-	// the parse errors, restoring the exact error order the monolithic build
-	// produced.
+	// reconstituted preprocessor errors; Hydrate reparses and appends the
+	// parse errors, restoring the exact error order of a local build.
 	file *cast.File
 	errs []error
 	// cppN is how many leading errs entries are preprocessor errors — the
@@ -44,6 +42,11 @@ type ArtFile struct {
 // of the shard in sorted path order.
 type ShardArtifact struct {
 	Files []*ArtFile
+
+	// stats carries the arena counters of the front end (and of any
+	// reparse) into assembly, so the arena.* gauges cover the whole build.
+	// It is not serialized.
+	stats *arena.Stats
 }
 
 // Observations projects the artifact onto its per-file discovery
@@ -62,10 +65,11 @@ func (a *ShardArtifact) Observations() []apidb.FileObs {
 // partitioned. The merge is stable, though shards produced by Partition
 // never overlap in paths.
 func MergeShardArtifacts(arts ...*ShardArtifact) *ShardArtifact {
-	m := &ShardArtifact{}
+	m := &ShardArtifact{stats: &arena.Stats{}}
 	for _, a := range arts {
 		if a != nil {
 			m.Files = append(m.Files, a.Files...)
+			m.stats.Add(a.stats)
 		}
 	}
 	sort.SliceStable(m.Files, func(i, j int) bool { return m.Files[i].Path < m.Files[j].Path })
@@ -77,7 +81,7 @@ func MergeShardArtifacts(arts ...*ShardArtifact) *ShardArtifact {
 // each file's expanded token stream is copied into fresh storage so the
 // artifact can outlive the build's pooled buffers and be serialized
 // (EncodeShardArtifact requires it); without retain the artifact is only
-// usable in-process, which is how BuildContext itself consumes it.
+// usable in-process, which skips a copy of every token stream.
 //
 // The builder's DB is not consulted: a shard-local pass is DB-independent by
 // design, so stateless workers need no discovery state at all.
@@ -89,15 +93,16 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 
 // Hydrate parses every wire-format file (af.file == nil) into its AST and
 // releases the token stream, appending parse errors after the preprocessor
-// errors exactly as assembleWith's reparse would. Calling it as each shard
-// artifact arrives makes manager-side memory scale with per-shard AST size
-// instead of whole-corpus retained token streams; assembly then finds
-// nothing left to reparse. Files that already carry an AST only have their
-// token streams dropped. workers bounds the parse parallelism (0 =
-// GOMAXPROCS).
-func (a *ShardArtifact) Hydrate(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// errors. Calling it as each shard artifact arrives makes manager-side
+// memory scale with per-shard AST size instead of whole-corpus retained
+// token streams; AssembleContext runs the same pass, so a hydrated artifact
+// leaves it nothing to reparse. Files that already carry an AST only have
+// their token streams dropped. workers bounds the parse parallelism (0 =
+// GOMAXPROCS); when anything needs parsing, a "reparse" span covers it
+// under parent. Cancelling ctx leaves the unfed files without an AST.
+func (a *ShardArtifact) Hydrate(ctx context.Context, workers int, parent *obs.Span) {
+	if a.stats == nil {
+		a.stats = &arena.Stats{}
 	}
 	var toParse []*ArtFile
 	for _, af := range a.Files {
@@ -110,45 +115,13 @@ func (a *ShardArtifact) Hydrate(workers int) {
 	if len(toParse) == 0 {
 		return
 	}
-	stats := &arena.Stats{}
-	hydrate := func(af *ArtFile) {
-		file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, stats)
+	sp := parent.Child("reparse").Int("files", len(toParse))
+	workpool.Run(ctx, workers, len(toParse), func(i int) {
+		af := toParse[i]
+		file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, a.stats)
 		af.file = file
 		af.errs = append(af.errs, perrs...)
 		af.Tokens = nil
-	}
-	if workers > 1 && len(toParse) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan *ArtFile)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for af := range jobs {
-					hydrate(af)
-				}
-			}()
-		}
-		for _, af := range toParse {
-			jobs <- af
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for _, af := range toParse {
-			hydrate(af)
-		}
-	}
-}
-
-// AssembleContext runs the global half of a build over a (possibly merged,
-// possibly decoded) artifact: reparse wire-format files, merge declarations
-// in sorted path order, apply discovery, and run per-function analysis.
-//
-// disc carries the result of an exchange already applied to b.DB (the
-// manager path, where the same DB must then be shared with the checker
-// engine); nil means no exchange has happened and the artifact's own
-// observations are applied here.
-func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
-	return b.assembleWith(ctx, b.newFrontEnd(), art, disc)
+	})
+	sp.End()
 }

@@ -3,19 +3,20 @@
 //
 // A Unit combines, for a set of C sources, the ASTs, per-function CFGs,
 // semantic event streams, struct/global tables, the preprocessor macro
-// table, and a call graph — everything the nine checkers query. Building a
-// Unit also runs the "Lexer Parsing" stage: refcounted-structure discovery,
-// refcounting-API wrapper discovery, and smartloop discovery extend the API
-// knowledge base before events are extracted.
+// table, and a call graph — everything the nine checkers query. A Unit is
+// built in two halves with the paper's "Lexer Parsing" stage between them:
+// BuildArtifactContext runs the per-file front end and records each file's
+// discovery observation, the caller replays the observations into the API
+// knowledge base (apidb.Apply: refcounted structures, wrapper APIs,
+// smartloops, deviations), and AssembleContext merges the files and
+// extracts events against the extended DB.
 package cpg
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysiscache"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/cpp"
 	"repro/internal/obs"
 	"repro/internal/semantics"
+	"repro/internal/workpool"
 )
 
 // Function is one function definition with its analysis artifacts.
@@ -80,7 +82,9 @@ type Source struct {
 
 // Builder configures unit construction.
 type Builder struct {
-	// DB is extended in place by discovery; nil means a fresh apidb.New().
+	// DB is the API knowledge base assembly extracts events against: the
+	// one the exchange replayed the artifact's observations into. The front
+	// end never consults it. Nil means a fresh apidb.New().
 	DB *apidb.DB
 	// Headers resolves #include; nil skips unresolvable includes. The
 	// provider must be safe for concurrent reads (plain maps are: the
@@ -88,15 +92,15 @@ type Builder struct {
 	Headers cpp.FileProvider
 	// Predefines are macros defined before each file (e.g. __KERNEL__).
 	Predefines map[string]string
-	// Workers bounds the file-sharded preprocess+parse concurrency
-	// (phase 1) and the per-function analysis concurrency (phase 3);
+	// Workers bounds the file-sharded preprocess+parse concurrency (the
+	// front end) and the per-function analysis concurrency (assembly);
 	// 0 means GOMAXPROCS, 1 forces sequential building. Results are
 	// byte-identical either way — files and functions are processed
 	// independently and merged in deterministic order.
 	Workers int
 	// HeaderCache shares lexed header token lines across the unit's files
 	// (and, if the caller reuses it, across builds); nil means a fresh
-	// per-build cache, so headers are still lexed only once per Build.
+	// per-build cache, so headers are still lexed only once per front end.
 	HeaderCache *cpp.HeaderCache
 	// Cache, when non-nil, persists each file's preprocessed form
 	// (tokens + macros + include closure) keyed by content hash, so an
@@ -114,7 +118,7 @@ type Builder struct {
 	Obs *obs.Span
 }
 
-// parsed is one file's phase-1 output, produced by any worker and merged on
+// parsed is one file's front-end output, produced by any worker and merged on
 // the coordinating goroutine in sorted path order.
 type parsed struct {
 	file   *cast.File
@@ -143,7 +147,7 @@ type frontEntry struct {
 	CppErrors []string
 }
 
-// frontEnd is the per-Build front-end state shared by all phase-1 workers.
+// frontEnd is the per-build front-end state shared by all its workers.
 type frontEnd struct {
 	b        *Builder
 	hc       *cpp.HeaderCache
@@ -157,9 +161,6 @@ type frontEnd struct {
 	// storage (parsed.tokens) so the artifact can be serialized after the
 	// pooled buffers are released.
 	retain bool
-	// workers is the resolved phase 1/3 concurrency (Builder.Workers with
-	// the GOMAXPROCS default applied).
-	workers int
 
 	// stats aggregates the build's arena counters (slab chunks in the parser
 	// and CFG builder, pooled token buffers here); atomic, shared by all
@@ -343,13 +344,6 @@ func (fe *frontEnd) retainToks(toks []clex.Token) []clex.Token {
 	return out
 }
 
-// Build preprocesses, parses and analyzes the sources into a Unit. Inputs
-// are merged in path order so results are deterministic regardless of the
-// worker count. It is BuildContext with a background context.
-func (b *Builder) Build(sources []Source) *Unit {
-	return b.BuildContext(context.Background(), sources)
-}
-
 // parseTU runs the per-file front end under a "tu" span, feeding the per-TU
 // wall time into the frontend.tu_ms histogram.
 func (fe *frontEnd) parseTU(src Source) parsed {
@@ -366,48 +360,26 @@ func (fe *frontEnd) parseTU(src Source) parsed {
 	return p
 }
 
-// BuildContext is Build with cancellation. When ctx is cancelled mid-build,
-// the work queues drain cleanly (no goroutine leaks) and the returned Unit
-// holds whatever completed: unfed files are simply absent, unfed functions
-// keep nil Graph/Events and are excluded by DefinedFunctions. Callers that
-// care about partial results check ctx.Err() themselves.
-//
-// The build runs in two halves that are also available separately for
-// distributed analysis (see artifact.go): buildArtifact (per-file front end
-// + discovery observation, the shard-local pass) and assembleWith (exchange
-// + merge + per-function analysis, the global pass). Running them back to
-// back on one front-end state is exactly the old monolithic build, so
-// single-process results are unchanged, and the distributed path shares
-// every line of the phase logic.
-func (b *Builder) BuildContext(ctx context.Context, sources []Source) *Unit {
-	fe := b.newFrontEnd()
-	return b.assembleWith(ctx, fe, b.buildArtifact(ctx, fe, sources), nil)
-}
-
 // newFrontEnd resolves the builder's knobs into the per-build front-end
 // state shared by the phase workers.
 func (b *Builder) newFrontEnd() *frontEnd {
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	hc := b.HeaderCache
 	if hc == nil {
 		hc = cpp.NewHeaderCache()
 	}
 	fe := &frontEnd{b: b, hc: hc, cache: b.Cache,
 		predefFP: predefFingerprint(b.Predefines),
-		reg:      b.Obs.Reg(), stats: &arena.Stats{}, workers: workers}
+		reg:      b.Obs.Reg(), stats: &arena.Stats{}}
 	fe.l1hold = b.Cache != nil && b.Cache.MemoryEnabled()
 	fe.tokPool.Stats = fe.stats
 	return fe
 }
 
-// buildArtifact is phase 1: preprocess + parse, sharded per file (each
-// file's front end is independent), with the file's discovery observation
-// extracted in the same worker pass. The returned artifact lists files in
-// sorted path order; TUs skipped by cancellation are absent, exactly like
-// the nil-file slots the monolithic loop skipped.
+// buildArtifact is the front end: preprocess + parse, sharded per file
+// (each file's front end is independent), with the file's discovery
+// observation extracted in the same worker pass. The returned artifact lists
+// files in sorted path order and carries the front end's arena stats into
+// assembly; TUs skipped by cancellation are absent.
 func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Source) *ShardArtifact {
 	sorted := append([]Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -427,43 +399,14 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 			file: p.file, errs: p.errs, cppN: p.cppN,
 		}
 	}
-	if fe.workers > 1 && len(sorted) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < fe.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					work(i)
-				}
-			}()
-		}
-	feedFiles:
-		for i := range sorted {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feedFiles
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range sorted {
-			if ctx.Err() != nil {
-				break
-			}
-			work(i)
-		}
-	}
+	workpool.Run(ctx, fe.b.Workers, len(sorted), work)
 	if fe.reg != nil {
 		hc1 := fe.hc.Stats()
 		fe.reg.Add("headercache.hit", hc1.Hits-hc0.Hits)
 		fe.reg.Add("headercache.miss", hc1.Misses-hc0.Misses)
 		fe.reg.Add("lex.tokens", (hc1.TokensLexed-hc0.TokensLexed)+fe.lexStats.Tokens.Load())
 	}
-	art := &ShardArtifact{}
+	art := &ShardArtifact{stats: fe.stats}
 	for _, af := range results {
 		if af != nil {
 			art.Files = append(art.Files, af)
@@ -472,13 +415,19 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 	return art
 }
 
-// assembleWith merges artifact files into a Unit — reparsing any that
-// arrived over the wire as decoded token streams — applies discovery, and
-// runs the per-function phase. A nil disc means the exchange has not
-// happened yet: the artifact's own observations are applied to the DB here
-// (the single-process path). A non-nil disc asserts the builder's DB already
-// absorbed the exchange and carries the added-name lists for the unit.
-func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArtifact, disc *apidb.Discovery) *Unit {
+// AssembleContext runs the global half of a build over a (possibly merged,
+// possibly decoded) artifact: reparse wire-format files and drop every token
+// stream (Hydrate), merge declarations in sorted path order, and run
+// per-function analysis. disc is
+// what the exchange added when it replayed the artifact's observations into
+// b.DB (apidb.Apply), and b.DB must be that same DB: assembly extracts
+// events against it and records disc's name lists on the unit.
+//
+// When ctx is cancelled mid-assembly the work queues drain cleanly and the
+// returned Unit holds whatever completed: files whose reparse never ran are
+// absent, and unfed functions keep nil Graph/Events and are excluded by
+// DefinedFunctions. Callers that care about partial results check ctx.Err().
+func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
 	db := b.DB
 	if db == nil {
 		db = apidb.New()
@@ -490,61 +439,14 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		Globals:   map[string]*cast.VarDecl{},
 		Macros:    map[string]*cpp.Macro{},
 		Calls:     map[string][]CallSite{},
-	}
-	reg := fe.reg
 
-	// Decoded artifacts carry token streams, not ASTs (same trade the
-	// front-end cache makes: the parser is cheap, and reparsing identical
-	// tokens yields an identical AST). Reparse them file-sharded.
-	var toParse []*ArtFile
-	for _, af := range art.Files {
-		if af.file == nil {
-			toParse = append(toParse, af)
-		}
+		DiscoveredStructs:    disc.Structs,
+		DiscoveredAPIs:       disc.APIs,
+		DiscoveredLoops:      disc.Loops,
+		DiscoveredDeviations: disc.Deviations,
 	}
-	if len(toParse) > 0 {
-		rsp := b.Obs.Child("reparse").Int("files", len(toParse))
-		reparse := func(af *ArtFile) {
-			file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, fe.stats)
-			af.file = file
-			af.errs = append(af.errs, perrs...)
-			// The AST replaces the token stream; dropping it here keeps
-			// peak memory per-TU-streaming rather than whole-corpus (the
-			// tokens of a large corpus dwarf its ASTs).
-			af.Tokens = nil
-		}
-		if fe.workers > 1 && len(toParse) > 1 {
-			var wg sync.WaitGroup
-			jobs := make(chan *ArtFile)
-			for w := 0; w < fe.workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for af := range jobs {
-						reparse(af)
-					}
-				}()
-			}
-		feedReparse:
-			for _, af := range toParse {
-				select {
-				case jobs <- af:
-				case <-ctx.Done():
-					break feedReparse
-				}
-			}
-			close(jobs)
-			wg.Wait()
-		} else {
-			for _, af := range toParse {
-				if ctx.Err() != nil {
-					break
-				}
-				reparse(af)
-			}
-		}
-		rsp.End()
-	}
+	art.Hydrate(ctx, b.Workers, b.Obs)
+	stats := art.stats
 
 	// Merge declarations, macros and errors in sorted path order — the exact
 	// order the sequential loop used, so the unit is deterministic. A nil
@@ -572,86 +474,30 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		}
 	}
 
-	// Phase 2: lexer-parsing discovery (§6.1) — structures, wrapper APIs,
-	// smartloops — before event extraction so events see the full DB. The
-	// observations replay in sorted path order, reproducing exactly what a
-	// whole-corpus scan of u.Files would have registered.
-	dsp := b.Obs.Child("discovery")
-	if disc == nil {
-		d := db.Apply(art.Observations())
-		disc = &d
-	}
-	u.DiscoveredStructs = disc.Structs
-	u.DiscoveredAPIs = disc.APIs
-	u.DiscoveredLoops = disc.Loops
-	u.DiscoveredDeviations = disc.Deviations
-	dsp.Int("structs", len(u.DiscoveredStructs)).
-		Int("apis", len(u.DiscoveredAPIs)).
-		Int("loops", len(u.DiscoveredLoops)).
-		End()
-
-	// Phase 3: CFGs, events, call graph.
-	workers := fe.workers
+	// Per-function analysis: CFGs and events.
 	sem := b.Obs.Child("semantics")
 	globals := make(map[string]bool, len(u.Globals))
 	for name := range u.Globals {
 		globals[name] = true
 	}
 	ext := &semantics.Extractor{DB: db, GlobalNames: globals}
-	names := u.FunctionNames()
-	analyzed := 0
-	if workers > 1 && len(names) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan *Function)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for fn := range jobs {
-					fn.Graph = cfg.BuildArena(fn.Def, fe.stats)
-					fn.Events = ext.Extract(fn.Graph)
-				}
-			}()
-		}
-	feedFuncs:
-		for _, name := range names {
-			fn := u.Functions[name]
-			if fn.Def.Body == nil {
-				continue
-			}
-			select {
-			case jobs <- fn:
-				analyzed++
-			case <-ctx.Done():
-				break feedFuncs
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for _, name := range names {
-			fn := u.Functions[name]
-			if fn.Def.Body == nil {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			fn.Graph = cfg.BuildArena(fn.Def, fe.stats)
-			fn.Events = ext.Extract(fn.Graph)
-			analyzed++
+	var defined []*Function
+	for _, name := range u.FunctionNames() {
+		if fn := u.Functions[name]; fn.Def.Body != nil {
+			defined = append(defined, fn)
 		}
 	}
+	analyzed := workpool.Run(ctx, b.Workers, len(defined), func(i int) {
+		fn := defined[i]
+		fn.Graph = cfg.BuildArena(fn.Def, stats)
+		fn.Events = ext.Extract(fn.Graph)
+	})
 	sem.Int("functions", analyzed).End()
 	// The call graph is assembled sequentially in name order so Calls slices
 	// are deterministic.
 	cg := b.Obs.Child("callgraph")
 	var callBuf []*cast.CallExpr
-	for _, name := range names {
-		fn := u.Functions[name]
-		if fn.Def.Body == nil {
-			continue
-		}
+	for _, fn := range defined {
 		callBuf = cast.CallsInto(callBuf[:0], fn.Def.Body)
 		for _, call := range callBuf {
 			if cn := call.Callee(); cn != "" {
@@ -660,14 +506,16 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		}
 	}
 	cg.End()
-	if reg != nil {
+	if reg := b.Obs.Reg(); reg != nil {
 		// Gauges, not counters: pool hit/miss (and therefore fresh-chunk)
 		// counts depend on goroutine scheduling, and the difftest matrix
-		// requires counters to be identical across worker counts.
-		reg.SetGauge("arena.bytes", float64(fe.stats.Bytes.Load()))
-		reg.SetGauge("arena.chunks", float64(fe.stats.Chunks.Load()))
-		reg.SetGauge("arena.reused", float64(fe.stats.Reused.Load()))
-		reg.SetGauge("arena.released", float64(fe.stats.Released.Load()))
+		// requires counters to be identical across worker counts. They
+		// cover the front end plus assembly: the artifact carries the front
+		// end's stats here.
+		reg.SetGauge("arena.bytes", float64(stats.Bytes.Load()))
+		reg.SetGauge("arena.chunks", float64(stats.Chunks.Load()))
+		reg.SetGauge("arena.reused", float64(stats.Reused.Load()))
+		reg.SetGauge("arena.released", float64(stats.Released.Load()))
 	}
 	return u
 }

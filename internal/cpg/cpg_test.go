@@ -1,15 +1,29 @@
 package cpg
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/apidb"
 	"repro/internal/cpp"
 )
 
+// assemble runs both halves of a build in one process the way core.Analyze
+// does: the front end without token retention, the discovery replay into
+// b.DB (a fresh DB when nil), then assembly.
+func assemble(b Builder, sources ...Source) *Unit {
+	ctx := context.Background()
+	if b.DB == nil {
+		b.DB = apidb.New()
+	}
+	art := b.BuildArtifactContext(ctx, sources, false)
+	disc := b.DB.Apply(art.Observations())
+	return b.AssembleContext(ctx, art, &disc)
+}
+
 func build(t *testing.T, sources ...Source) *Unit {
 	t.Helper()
-	b := &Builder{}
-	u := b.Build(sources)
+	u := assemble(Builder{}, sources...)
 	for _, e := range u.Errors {
 		t.Fatalf("build error: %v", e)
 	}
@@ -80,15 +94,14 @@ void user(struct foo_dev *d)
 }
 
 func TestHeadersResolved(t *testing.T) {
-	headers := cpp.MapFiles{
+	headers := cpp.NewIndexedFiles(map[string]string{
 		"include/linux/of.h": `
 #define for_each_child_of_node(parent, child) \
 	for (child = of_get_next_child(parent, 0); child; \
 	     child = of_get_next_child(parent, child))
 `,
-	}
-	b := &Builder{Headers: headers}
-	u := b.Build([]Source{{Path: "drivers/x.c", Content: `
+	})
+	u := assemble(Builder{Headers: headers}, Source{Path: "drivers/x.c", Content: `
 #include <linux/of.h>
 int walk(struct device_node *parent)
 {
@@ -98,7 +111,7 @@ int walk(struct device_node *parent)
 	}
 	return 0;
 }
-`}})
+`})
 	for _, e := range u.Errors {
 		t.Fatalf("err: %v", e)
 	}
@@ -172,8 +185,7 @@ func TestDeterministicOrder(t *testing.T) {
 }
 
 func TestParseErrorsSurfaced(t *testing.T) {
-	b := &Builder{}
-	u := b.Build([]Source{{Path: "bad.c", Content: "@@@;\nint ok(void) { return 0; }"}})
+	u := assemble(Builder{}, Source{Path: "bad.c", Content: "@@@;\nint ok(void) { return 0; }"})
 	if len(u.Errors) == 0 {
 		t.Error("expected surfaced errors")
 	}
@@ -203,8 +215,8 @@ int b_probe(void)
 }
 `},
 	}
-	seq := (&Builder{Workers: 1}).Build(srcs)
-	par := (&Builder{Workers: 8}).Build(srcs)
+	seq := assemble(Builder{Workers: 1}, srcs...)
+	par := assemble(Builder{Workers: 8}, srcs...)
 	if len(seq.Functions) != len(par.Functions) {
 		t.Fatalf("function counts differ")
 	}
@@ -274,12 +286,12 @@ func TestParallelErrorOrderDeterministic(t *testing.T) {
 		{Path: "a.c", Content: "###;\nint fa(void) { return 0; }"},
 		{Path: "m.c", Content: "int fm(void) { return 0; }"},
 	}
-	want := (&Builder{Workers: 1}).Build(srcs)
+	want := assemble(Builder{Workers: 1}, srcs...)
 	if len(want.Errors) == 0 {
 		t.Fatal("expected parse errors")
 	}
 	for i := 0; i < 10; i++ {
-		got := (&Builder{Workers: 8}).Build(srcs)
+		got := assemble(Builder{Workers: 8}, srcs...)
 		if len(got.Errors) != len(want.Errors) {
 			t.Fatalf("error counts differ (%d vs %d)", len(got.Errors), len(want.Errors))
 		}

@@ -2,10 +2,12 @@ package facts_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpg"
 	"repro/internal/facts"
 )
@@ -44,8 +46,13 @@ static void f_plain(int x)
 
 func buildFixture(t *testing.T) *cpg.Unit {
 	t.Helper()
-	b := &cpg.Builder{}
-	return b.Build([]cpg.Source{{Path: "drivers/x/fixture.c", Content: fixtureSrc}})
+	run, err := core.Analyze(context.Background(), core.Request{
+		Sources: []cpg.Source{{Path: "drivers/x/fixture.c", Content: fixtureSrc}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.Unit
 }
 
 // TestMemoizedExactlyOnce hammers every function slot from many goroutines

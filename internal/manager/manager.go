@@ -95,8 +95,8 @@ func (q *queue) remaining() []int {
 // Fault model: a worker that dies (or writes garbage) forfeits its slot —
 // its in-flight shard is re-queued for the surviving workers, and the slot
 // is not respawned. If every worker dies, the manager itself drains the
-// queue inline via core.LocalPass, so Run degrades to a single-process
-// analysis rather than failing.
+// queue inline via core.LocalPassInProcess, so Run degrades to a
+// single-process analysis rather than failing.
 func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[string]string) (*core.Run, error) {
 	procs := cfg.Procs
 	if procs < 1 {
@@ -159,12 +159,11 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 		req := core.Request{Sources: sources, Headers: headers,
 			Options: inlineOpt, Trace: cfg.Trace}
 		for _, id := range rest {
-			art, err := core.LocalPass(ctx, req, shards[id])
+			art, err := core.LocalPassInProcess(ctx, req, shards[id])
 			if err != nil {
 				sp.End()
 				return nil, err
 			}
-			art.Hydrate(cfg.Workers)
 			arts[id] = art
 			reg.Add("manager.shard.inline", 1)
 		}
@@ -172,19 +171,15 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	sp.End()
 
 	db := apidb.New()
-	merged, disc := Exchange(db, arts)
+	xsp := cfg.Trace.Root().Child("phase:exchange")
+	merged, disc := core.Exchange(db, arts)
+	xsp.Int("structs", len(disc.Structs)).Int("apis", len(disc.APIs)).Int("loops", len(disc.Loops)).End()
 	opt := cfg.Options
 	opt.DB = db
 	opt.Cache = nil
 	opt.Admit = nil
 	greq := core.Request{Sources: sources, Headers: headers, Options: opt, Trace: cfg.Trace}
 	return core.GlobalPass(ctx, greq, merged, disc)
-}
-
-// Exchange merges the per-shard artifacts into db (thin re-export so callers
-// of the manager package see the whole pipeline in one place).
-func Exchange(db *apidb.DB, arts []*cpg.ShardArtifact) (*cpg.ShardArtifact, apidb.Discovery) {
-	return core.Exchange(db, arts)
 }
 
 // runSlot owns one worker process: spawn, init, then lockstep shard serving
@@ -254,7 +249,7 @@ func runSlot(ctx context.Context, argv []string, initFrame []byte, workers int, 
 		// Parse the shard's files as soon as the artifact lands and drop
 		// their token streams: memory then scales with AST size per shard,
 		// not with the whole corpus's retained token streams.
-		art.Hydrate(workers)
+		art.Hydrate(ctx, workers, nil)
 		artsMu.Lock()
 		arts[id] = art
 		artsMu.Unlock()

@@ -33,7 +33,7 @@ func TestNopZeroAllocation(t *testing.T) {
 func TestSpanTreeCanonicalOrder(t *testing.T) {
 	build := func(shuffle bool) string {
 		tr := New("run")
-		phase := tr.Root().Child("phase:build")
+		phase := tr.Root().Child("phase:local")
 		var wg sync.WaitGroup
 		names := []string{"c.c", "a.c", "b.c", "d.c"}
 		if shuffle {
@@ -56,7 +56,7 @@ func TestSpanTreeCanonicalOrder(t *testing.T) {
 	if a != b {
 		t.Fatalf("span trees differ across creation orders:\n%s\nvs\n%s", a, b)
 	}
-	want := "run\n  phase:build\n    tu{path=a.c}\n    tu{path=b.c}\n    tu{path=c.c}\n    tu{path=d.c}\n"
+	want := "run\n  phase:local\n    tu{path=a.c}\n    tu{path=b.c}\n    tu{path=c.c}\n    tu{path=d.c}\n"
 	if a != want {
 		t.Fatalf("tree =\n%s\nwant\n%s", a, want)
 	}
@@ -68,7 +68,7 @@ func TestSpanTreeCanonicalOrder(t *testing.T) {
 // overlapping spans within one lane.
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tr := New("roundtrip")
-	p1 := tr.Root().Child("phase:build")
+	p1 := tr.Root().Child("phase:local")
 	p1.Child("tu").Str("path", "a.c").End()
 	p1.Child("tu").Str("path", "b.c").End()
 	p1.End()
@@ -117,7 +117,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 // the registry contents.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	tr := New("stats")
-	tr.Root().Child("phase:build").End()
+	tr.Root().Child("phase:local").End()
 	tr.Reg().Add("frontend.tokens", 123)
 	tr.Reg().SetGauge("pipeline.files_per_sec", 4.5)
 	tr.Reg().Observe("frontend.tu_ms", 2)
@@ -138,7 +138,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if h := got.Hists["frontend.tu_ms"]; h.Count != 2 || h.Sum != 6 || h.Min != 2 || h.Max != 4 {
 		t.Errorf("hist round-trip = %+v", h)
 	}
-	if len(got.Phases) != 1 || got.Phases[0].Name != "phase:build" {
+	if len(got.Phases) != 1 || got.Phases[0].Name != "phase:local" {
 		t.Errorf("phases = %+v", got.Phases)
 	}
 }
@@ -186,14 +186,14 @@ func TestSummaryAndNopExporters(t *testing.T) {
 	}
 
 	tr := New("sum")
-	tr.Root().Child("phase:build").End()
+	tr.Root().Child("phase:local").End()
 	tr.Reg().Add("frontend.tokens", 1)
 	tr.Reg().SetGauge("g", 1)
 	tr.Reg().Observe("h", 1)
 	tr.Done()
 	buf.Reset()
 	WriteSummary(&buf, tr)
-	for _, want := range []string{"phase:build", "counter", "gauge", "hist"} {
+	for _, want := range []string{"phase:local", "counter", "gauge", "hist"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, buf.String())
 		}

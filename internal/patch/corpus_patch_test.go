@@ -1,13 +1,13 @@
 package patch
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
-	"repro/internal/cpp"
 )
 
 func TestFixP4MissingGet(t *testing.T) {
@@ -45,6 +45,16 @@ static struct device_node *next_of(struct device_node *from)
 	}
 }
 
+// checkTree runs core.Analyze, uncached and unconfirmed, over sources.
+func checkTree(t *testing.T, sources []cpg.Source, headers map[string]string) []core.Report {
+	t.Helper()
+	run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: headers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.Reports
+}
+
 // TestCorpusFixCoverage generates patches for every checker report on the
 // synthetic kernel and measures coverage: every report must either get a
 // mechanical patch or carry a manual-fix reason (P6 cross-function cases and
@@ -58,8 +68,7 @@ func TestCorpusFixCoverage(t *testing.T) {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 		contentOf[f.Path] = f.Content
 	}
-	unit := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
-	reports := core.NewEngine().CheckUnit(unit)
+	reports := checkTree(t, sources, c.Headers)
 
 	patched, manual := 0, 0
 	patchedFiles := map[string]bool{}
@@ -93,9 +102,7 @@ func TestCorpusFixCoverage(t *testing.T) {
 		}
 		content := f.Content
 		for rounds := 0; rounds < 12; rounds++ {
-			u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(
-				[]cpg.Source{{Path: f.Path, Content: content}})
-			rs := core.NewEngine().CheckUnit(u)
+			rs := checkTree(t, []cpg.Source{{Path: f.Path, Content: content}}, c.Headers)
 			var next *core.Report
 			for i := range rs {
 				fx := Generate(content, rs[i])
@@ -109,9 +116,7 @@ func TestCorpusFixCoverage(t *testing.T) {
 				break
 			}
 		}
-		u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(
-			[]cpg.Source{{Path: f.Path, Content: content}})
-		rs := core.NewEngine().CheckUnit(u)
+		rs := checkTree(t, []cpg.Source{{Path: f.Path, Content: content}}, c.Headers)
 		for _, r := range rs {
 			fx := Generate(content, r)
 			if fx.OK {

@@ -1,11 +1,11 @@
 package refsim
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"repro/internal/obs"
 	"repro/internal/semantics"
+	"repro/internal/workpool"
 )
 
 // Job is one confirmation request: a witness trace plus the claim to
@@ -45,31 +45,9 @@ func ReplayAllSpan(jobs []Job, workers int, parent *obs.Span) []Verdict {
 }
 
 func replayAll(jobs []Job, workers int) []Verdict {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Verdict, len(jobs))
-	if workers > 1 && len(jobs) > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
-		}
-	}
+	workpool.Run(context.TODO(), workers, len(jobs), func(i int) {
+		out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
+	})
 	return out
 }

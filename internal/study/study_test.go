@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apidb"
@@ -110,20 +111,6 @@ func TestAllFindingsHold(t *testing.T) {
 
 // --- new-bug evaluation (Tables 4 and 5) ---
 
-type headerProvider map[string]string
-
-func (m headerProvider) ReadFile(path string) (string, bool) {
-	if s, ok := m[path]; ok {
-		return s, true
-	}
-	for p, s := range m {
-		if len(p) > len(path) && p[len(p)-len(path)-1] == '/' && p[len(p)-len(path):] == path {
-			return s, true
-		}
-	}
-	return "", false
-}
-
 func evalNewBugs(t *testing.T) (*corpus.Corpus, *NewBugStudy) {
 	t.Helper()
 	c := corpus.Generate(corpus.Spec{Seed: 1})
@@ -131,9 +118,11 @@ func evalNewBugs(t *testing.T) (*corpus.Corpus, *NewBugStudy) {
 	for _, f := range c.Files {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
-	u := (&cpg.Builder{Headers: headerProvider(c.Headers)}).Build(sources)
-	reports := core.NewEngine().CheckUnit(u)
-	return c, EvaluateNewBugs(c, reports)
+	run, err := core.Analyze(context.Background(), core.Request{Sources: sources, Headers: c.Headers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, EvaluateNewBugs(c, run.Reports)
 }
 
 func TestTable4Shape(t *testing.T) {

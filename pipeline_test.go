@@ -61,11 +61,7 @@ func TestFullPipelineWorkerSweep(t *testing.T) {
 	c, _ := kernelCorpus()
 	var wantRows []study.Table4Row
 	for _, workers := range []int{1, 2, 3, 8} {
-		unit := buildUnitWorkers(workers)
-		engine := core.NewEngine()
-		engine.Workers = workers
-		reports := engine.CheckUnit(unit)
-		nb := study.EvaluateNewBugsWorkers(c, reports, workers)
+		nb := study.EvaluateNewBugsWorkers(c, analyzeCorpus(workers).Reports, workers)
 		rows := nb.Table4()
 		if wantRows == nil {
 			wantRows = rows

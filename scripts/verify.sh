@@ -4,7 +4,8 @@
 # parallel by default, so a data race is a correctness bug, not a flake),
 # and finally the released-binary selftest with tracing enabled (the golden
 # artifacts must hold with observability on, and the Chrome trace export
-# must produce a loadable event stream).
+# must produce a loadable event stream). The benchmark module under
+# perfbench/ is vetted and tested alongside the root module.
 #
 # The test suite includes the difftest differential matrix, which runs the
 # tiered cache with the in-memory L1 tier enabled (the default): every
@@ -28,6 +29,11 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
+
+# The benchmark is its own Go module (perfbench/go.mod), so the root
+# `go build ./...` never compiles it: vet and test it here, so a change to a
+# pipeline API it calls fails now rather than when the benchmark runs.
+(cd perfbench && go vet ./... && go test ./...)
 
 # End-to-end observability gate: the built binary must reproduce the blessed
 # golden artifacts byte-for-byte while a full trace is being recorded, and
