@@ -115,7 +115,7 @@ func TestCrossSeedStability(t *testing.T) {
 			}
 		}
 	}
-	for _, seed := range []int64{2, 3} {
+	for _, seed := range []int64{2, 3, 4, 5, 7, 11, 42} {
 		c := corpus.Generate(corpus.Spec{Seed: seed})
 		var sources []cpg.Source
 		for _, f := range c.Files {

@@ -218,6 +218,20 @@ func (db *DB) PairFor(a *API) *API {
 	return db.apis[a.Pair]
 }
 
+// PutFor returns the specific (non-general) decrement API registered for
+// the named struct, the smallest by name when there are several, or nil:
+// the first such entry in APIs order, found without copying or sorting.
+func (db *DB) PutFor(structName string) *API {
+	var best *API
+	for _, a := range db.apis {
+		if a.Op == OpDec && a.Struct == structName && a.Class != General &&
+			(best == nil || a.Name < best.Name) {
+			best = a
+		}
+	}
+	return best
+}
+
 // incKeywords / decKeywords are the name keywords from the paper's mining
 // methodology (§3.1): "get", "take", "hold", "grab" for increment and "put",
 // "drop", "unhold", "release" for decrement.

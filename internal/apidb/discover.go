@@ -44,26 +44,50 @@ func returnsNullOnSomePath(fd *cast.FuncDef) bool {
 	return sawNull
 }
 
-// inferPairs links newly discovered APIs with opposite-direction entries on
-// the same struct when the match is unambiguous.
+// pairKey is one (struct, op) bucket of the pairing index.
+type pairKey struct {
+	strct string
+	op    Op
+}
+
+// pairBucket counts a bucket's APIs and keeps the last one seen, which is
+// its only member whenever the count is 1.
+type pairBucket struct {
+	count int
+	last  *API
+}
+
+// inferPairs links newly discovered APIs (names, all with an op) with the
+// opposite-direction entry on the same struct when that entry is the only
+// one. One pass buckets the table by (struct, op); pairing never writes
+// Struct or Op, so the counts stay valid while names are walked in order.
+// An entry already paired, by the seed or by an earlier name, is skipped.
 func (db *DB) inferPairs(names []string) {
+	buckets := map[pairKey]pairBucket{}
+	for _, b := range db.apis {
+		if b.Struct == "" || b.Op == OpNone {
+			continue
+		}
+		k := pairKey{b.Struct, b.Op}
+		bk := buckets[k]
+		bk.count++
+		bk.last = b
+		buckets[k] = bk
+	}
 	for _, n := range names {
 		a := db.apis[n]
 		if a.Pair != "" || a.Struct == "" {
 			continue
 		}
-		var match *API
-		count := 0
-		for _, b := range db.apis {
-			if b.Struct == a.Struct && b.Op != a.Op && b.Op != OpNone {
-				match = b
-				count++
-			}
+		want := OpInc
+		if a.Op == OpInc {
+			want = OpDec
 		}
-		if count == 1 {
-			a.Pair = match.Name
-			if match.Pair == "" {
-				match.Pair = a.Name
+		bk := buckets[pairKey{a.Struct, want}]
+		if bk.count == 1 {
+			a.Pair = bk.last.Name
+			if bk.last.Pair == "" {
+				bk.last.Pair = a.Name
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/apidb"
 	"repro/internal/cpg"
 	"repro/internal/facts"
 	"repro/internal/semantics"
@@ -372,10 +371,8 @@ func putExprFor(u *cpg.Unit, types map[string]castType, name string) string {
 		return "the put API for " + name
 	}
 	s := t.StructName()
-	for _, a := range u.DB.APIs() {
-		if a.Op == apidb.OpDec && a.Struct == s && a.Class != apidb.General {
-			return fmt.Sprintf("%s(%s)", a.Name, name)
-		}
+	if a := u.DB.PutFor(s); a != nil {
+		return fmt.Sprintf("%s(%s)", a.Name, name)
 	}
 	if sd := u.Structs[s]; sd != nil {
 		for _, f := range sd.Fields {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apidb"
 	"repro/internal/cpg"
 )
 
@@ -390,6 +391,41 @@ static void drop_plain(struct plain *p)
 }`
 	if rs := withPattern(check(t, "d.c", ok), P7); len(rs) != 0 {
 		t.Fatalf("plain struct misreported: %+v", rs)
+	}
+}
+
+// TestP7SuggestsSmallestSpecificPut pins the suggestion bytes when several
+// decrements are registered on the freed object's struct: the specific put
+// with the smallest name wins, and general decs and incs never qualify.
+func TestP7SuggestsSmallestSpecificPut(t *testing.T) {
+	db := apidb.New()
+	for _, a := range []*apidb.API{
+		{Name: "widget_put", Op: apidb.OpDec, Class: apidb.Specific, Struct: "widget"},
+		{Name: "widget_drop", Op: apidb.OpDec, Class: apidb.Specific, Struct: "widget"},
+		{Name: "widget_dec", Op: apidb.OpDec, Class: apidb.General, Struct: "widget"},
+		{Name: "widget_acquire", Op: apidb.OpInc, Class: apidb.Specific, Struct: "widget"},
+		{Name: "gadget_a_put", Op: apidb.OpDec, Class: apidb.Specific, Struct: "gadget"},
+	} {
+		db.AddAPI(a)
+	}
+	run, err := Analyze(context.Background(), Request{
+		Sources: []cpg.Source{{Path: "drivers/base/widget.c", Content: `
+struct widget { struct kref ref; char *name; };
+static void drop_widget(struct widget *w)
+{
+	kfree(w);
+}`}},
+		Options: Options{DB: db},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := withPattern(run.Reports, P7)
+	if len(rs) != 1 {
+		t.Fatalf("P7 reports = %+v", rs)
+	}
+	if want := "replace kfree(w) with widget_drop(w)"; rs[0].Suggestion != want {
+		t.Errorf("suggestion = %q, want %q", rs[0].Suggestion, want)
 	}
 }
 
