@@ -637,10 +637,10 @@ func BenchmarkPipelineObs(b *testing.B) {
 // prebuilt unit, in the two states the facts layer creates: "facts-cold"
 // computes every function's facts and runs the nine pattern queries
 // (CheckUnitFactsContext on a fresh UnitFacts each iteration); "facts-warm"
-// reuses a
-// fully memoized UnitFacts, so each iteration is the pattern queries alone —
-// the work a -checkers run pays after a facts-cache hit. The gap between the
-// two is the cost the shared facts layer computes exactly once.
+// reuses a fully memoized UnitFacts, so each iteration is the pattern
+// queries alone — the work every checker after the first pays on a function
+// whose facts another checker already computed. The gap between the two is
+// the cost the shared facts layer computes exactly once.
 // scripts/bench_pipeline.sh records both in BENCH_pipeline.json as the
 // checker-phase timing.
 func BenchmarkCheckerPhase(b *testing.B) {

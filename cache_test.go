@@ -2,9 +2,13 @@ package repro
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +135,69 @@ func TestCacheOneFileInvalidation(t *testing.T) {
 	if again := runWithCache(t, sources, headers, 8, dir); again.Metric("cache.unit.hit") != 1 {
 		t.Error("original corpus entry was clobbered by the edited run")
 	}
+}
+
+// TestCacheEditWritesOnlyChangedEntries pins the edit loop's write set: after
+// a one-file edit on a warm cache, the rerun stores the unit entry plus one
+// front-end entry per re-preprocessed file and nothing else — in
+// particular no whole-corpus facts entry.
+func TestCacheEditWritesOnlyChangedEntries(t *testing.T) {
+	sources, headers := corpusInputs()
+	dir := t.TempDir()
+	runWithCache(t, sources, headers, 2, dir) // warm
+
+	edited := append([]cpg.Source(nil), sources...)
+	edited[0] = cpg.Source{Path: edited[0].Path, Content: edited[0].Content + "/* edit */\n"}
+	run := runWithCache(t, edited, headers, 2, dir)
+	misses := run.Metric("frontend.cache.miss")
+	if run.Metric("cache.unit.hit") != 0 || misses != 1 {
+		t.Fatalf("edit rerun: unit hit=%d front-end misses=%d, want 0 and 1",
+			run.Metric("cache.unit.hit"), misses)
+	}
+	if got := run.Metric("cache.write"); got != 1+misses {
+		t.Errorf("edit rerun wrote %d entries, want 1 unit entry + %d front-end entries", got, misses)
+	}
+	if run.Metric("cache.write.bytes") <= 0 {
+		t.Error("edit rerun charged no cache.write.bytes")
+	}
+
+	// The key the retired whole-corpus facts entry used must stay absent.
+	c, err := analysiscache.Open(dir, analysiscache.WithMemory(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	factsKey := analysiscache.KeyOf("facts-v3", "", corpusFingerprint(edited, headers))
+	if _, ok := c.GetValue(factsKey, func(data []byte) (any, error) { return data, nil }); ok {
+		t.Error("edit rerun stored a whole-corpus facts entry")
+	}
+}
+
+// corpusFingerprint hashes the sorted, length-prefixed corpus content the
+// way core's unit key does, so a test can name whole-corpus cache keys.
+func corpusFingerprint(sources []cpg.Source, headers map[string]string) string {
+	h := sha256.New()
+	add := func(s string) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		h.Write([]byte(s))
+	}
+	sorted := append([]cpg.Source(nil), sources...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
+	for _, s := range sorted {
+		add(s.Path)
+		add(s.Content)
+	}
+	hpaths := make([]string, 0, len(headers))
+	for p := range headers {
+		hpaths = append(hpaths, p)
+	}
+	sort.Strings(hpaths)
+	for _, p := range hpaths {
+		add(p)
+		add(headers[p])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestCacheCorruptionFallsBack truncates every cache entry on disk; the next

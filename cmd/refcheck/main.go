@@ -287,19 +287,22 @@ func loadAPIDB(path string) (*apidb.DB, string, error) {
 	return db, analysiscache.KeyOf("apidb-ext", string(data)), nil
 }
 
+// writeStats renders the run's cache writes: entries queued for the disk
+// tier and their encoded size, which is the disk growth the run causes.
+func writeStats(run *core.Run) string {
+	return fmt.Sprintf("%d entries, %.2f MB", run.Metric("cache.write"),
+		float64(run.Metric("cache.write.bytes"))/(1<<20))
+}
+
 // printCacheStats renders the tiered-cache statistics block of -v.
 func printCacheStats(run *core.Run, cache *analysiscache.Cache) {
 	if run.Metric("cache.unit.hit") > 0 {
 		fmt.Fprintf(os.Stderr, "refcheck: cache: unit hit — skipped analysis of all %d files\n",
 			run.Metric("pipeline.files_skipped"))
 	} else {
-		factsState := "miss"
-		if run.Metric("cache.facts.hit") > 0 {
-			factsState = "hit"
-		}
-		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; facts %s; front end: %d hits, %d misses (%d files skipped preprocessing)\n",
-			factsState, run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
-			run.Metric("frontend.cache.hit"))
+		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; front end: %d hits, %d misses (%d files skipped preprocessing); wrote %s\n",
+			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
+			run.Metric("frontend.cache.hit"), writeStats(run))
 	}
 	st := cache.Stats()
 	fmt.Fprintf(os.Stderr, "refcheck: cache: L1 %d hits, %d misses, %d evictions (%d entries, %.1f MB resident); L2 %d batch flushes (%d entries); single-flight %d led, %d waited\n",

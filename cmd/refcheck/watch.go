@@ -104,9 +104,9 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		if changed != nil {
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
-		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits, %d misses)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits, %d misses; wrote %s)\n",
 			runs, what, len(tree.Sources), len(reports), elapsed.Round(time.Millisecond),
-			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"))
+			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"), writeStats(run))
 		opts.Export("refcheck", req.Trace)
 		return nil
 	}

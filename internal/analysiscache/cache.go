@@ -22,8 +22,9 @@
 //     holding every pending entry, named by the content hash of the pack
 //     bytes — when its buffer crosses a size threshold, when it has been
 //     dirty longer than the flush interval, or explicitly via Flush/Close.
-//     Batching collapses the ~3 entry kinds per unit (front-end, facts,
-//     reports) into one file write per shard instead of one per entry.
+//     Batching collapses the two entry kinds (one front-end entry per file,
+//     one report entry per unit) into one file write per shard instead of
+//     one per entry.
 //
 // Because a pack's name commits to its content hash, a torn or bit-rotted
 // pack is detected by hashing the whole file on load; any mismatch discards
@@ -33,12 +34,13 @@
 //
 // Entry payloads are opaque byte slices: each caller owns its encoding
 // (hand-rolled binary codecs built on internal/bincodec — see internal/cpg,
-// internal/facts, internal/core). The cache only moves bytes; the decode
-// callback passed to Load/Get/GetValue interprets them, and any error it
-// returns is treated as corruption. Directories written by earlier formats
-// (two-hex-char shard dirs of .gob or .bin files) are simply never
-// consulted, so a cache root surviving a format change degrades to clean
-// misses.
+// internal/core). The cache only moves bytes; the decode callback passed to
+// GetValue, the one read path, interprets them, and any error it returns is
+// treated as corruption. With L1 enabled the decoded value is kept and
+// shared; with L1 disabled it is decoded afresh on every call. Directories
+// written by earlier formats (two-hex-char shard dirs of .gob or .bin
+// files) are simply never consulted, so a cache root surviving a format
+// change degrades to clean misses.
 //
 // The cache is defensive by construction: any read error, decode error,
 // truncated pack, or corrupt payload is reported as a miss, and the caller
@@ -50,9 +52,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"sync/atomic"
 	"time"
@@ -60,26 +60,23 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrCorrupt is the sentinel wrapped by Load when an entry exists on disk
-// but cannot be decoded (truncated pack, bit rot, codec version drift).
-// Callers distinguish it from a plain miss with errors.Is; the cache itself
-// always degrades a corrupt entry to a miss.
-var ErrCorrupt = errors.New("analysiscache: corrupt entry")
-
-// Defaults for Open. WithMemory(0) disables L1 entirely.
+// Tier parameters. DefaultMemory is Open's L1 budget (WithMemory overrides
+// it; WithMemory(0) disables L1 entirely). L1 entries expire DefaultTTL
+// after insertion, checked on access (there is no background sweeper). A
+// shard's pending batch is flushed inline by the Put that takes it past
+// flushBytes or finds it dirty for longer than flushInterval; there is no
+// timer goroutine, so a process that stops writing must call Flush (or
+// Close) to make its last batch durable.
 const (
-	DefaultMemory        = 64 << 20
-	DefaultTTL           = 10 * time.Minute
-	defaultFlushBytes    = 8 << 20
-	defaultFlushInterval = 30 * time.Second
+	DefaultMemory = 64 << 20
+	DefaultTTL    = 10 * time.Minute
+	flushBytes    = 8 << 20
+	flushInterval = 30 * time.Second
 )
 
 // config collects the Open options.
 type config struct {
-	mem        int64
-	ttl        time.Duration
-	flushBytes int64
-	flushEvery time.Duration
+	mem int64
 }
 
 // Option configures Open.
@@ -89,23 +86,6 @@ type Option func(*config)
 // Zero (or negative) disables the in-memory tier: GetValue then decodes from
 // disk on every call and PutValue only queues the encoded bytes.
 func WithMemory(bytes int64) Option { return func(c *config) { c.mem = bytes } }
-
-// WithTTL sets the L1 entry lifetime; zero means no expiry. Expiry is
-// checked on access (there is no background sweeper).
-func WithTTL(d time.Duration) Option { return func(c *config) { c.ttl = d } }
-
-// WithFlushThreshold sets the per-shard pending-byte level that triggers an
-// inline flush on Put.
-func WithFlushThreshold(bytes int64) Option {
-	return func(c *config) { c.flushBytes = bytes }
-}
-
-// WithFlushInterval sets how long a shard may sit dirty before the next Put
-// to it flushes inline. There is no timer goroutine: a process that stops
-// writing must call Flush (or Close) to make its last batch durable.
-func WithFlushInterval(d time.Duration) Option {
-	return func(c *config) { c.flushEvery = d }
-}
 
 // Cache is the tiered cache handle, safe for concurrent use by multiple
 // goroutines and (for the disk tier) by multiple processes sharing the
@@ -132,34 +112,23 @@ type state struct {
 
 // Open prepares dir as a cache root, creating it if needed.
 func Open(dir string, opts ...Option) (*Cache, error) {
-	cfg := config{
-		mem:        DefaultMemory,
-		ttl:        DefaultTTL,
-		flushBytes: defaultFlushBytes,
-		flushEvery: defaultFlushInterval,
-	}
+	cfg := config{mem: DefaultMemory}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("analysiscache: %w", err)
 	}
-	st := &state{l2: newL2Tier(dir, cfg.flushBytes, cfg.flushEvery)}
+	st := &state{l2: newL2Tier(dir)}
 	st.refs.Store(1)
 	if cfg.mem > 0 {
-		st.l1 = newL1Cache(cfg.mem, cfg.ttl)
+		st.l1 = newL1Cache(cfg.mem, DefaultTTL)
 	}
 	return &Cache{dir: dir, st: st}, nil
 }
 
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
-
-// MemoryEnabled reports whether the L1 value tier is active. Callers use it
-// to choose between the value API (values land in L1 and are shared, so
-// they must be freshly allocated and immutable) and the byte API (decode
-// into caller-owned — possibly pooled — storage).
-func (c *Cache) MemoryEnabled() bool { return c.st.l1 != nil }
 
 // WithRegistry returns a view of the cache that counts every tier event
 // into reg (cache.read.*, cache.write*, cache.l1.*, cache.l2.batch.*,
@@ -170,62 +139,14 @@ func (c *Cache) WithRegistry(reg *obs.Registry) *Cache {
 	return &Cache{dir: c.dir, reg: reg, st: c.st}
 }
 
-// Load reads the entry for key from the disk tier and hands its payload to
-// decode. A missing entry returns an error wrapping fs.ErrNotExist; a
-// present-but-undecodable entry wraps ErrCorrupt. Both are misses to Get.
-// The payload slice is owned by the callback for the duration of the call
-// only.
-func (c *Cache) Load(key string, decode func(data []byte) error) error {
-	if len(key) < 2 || c.st.closed.Load() {
-		c.reg.Add("cache.read.miss", 1)
-		return fmt.Errorf("analysiscache: short key or closed handle: %w", fs.ErrNotExist)
-	}
-	data, corrupt, ok := c.st.l2.lookup(key)
-	if corrupt > 0 {
-		c.reg.Add("cache.read.corrupt", int64(corrupt))
-	}
-	if !ok {
-		c.reg.Add("cache.read.miss", 1)
-		return fmt.Errorf("analysiscache: no entry for key: %w", fs.ErrNotExist)
-	}
-	if err := decode(data); err != nil {
-		c.reg.Add("cache.read.corrupt", 1)
-		return fmt.Errorf("%w: key %s…: %v", ErrCorrupt, key[:8], err)
-	}
-	c.reg.Add("cache.read.hit", 1)
-	return nil
-}
-
-// Get reads the entry for key through decode, bypassing L1 (the decoded
-// result stays caller-owned, so decode may target pooled storage). Any
-// failure — missing entry, torn pack, codec mismatch — is a miss.
-func (c *Cache) Get(key string, decode func(data []byte) error) bool {
-	if len(key) < 2 || c.st.closed.Load() {
-		c.reg.Add("cache.read.miss", 1)
-		return false
-	}
-	data, corrupt, ok := c.st.l2.lookup(key)
-	if corrupt > 0 {
-		c.reg.Add("cache.read.corrupt", int64(corrupt))
-	}
-	if !ok {
-		c.reg.Add("cache.read.miss", 1)
-		return false
-	}
-	if err := decode(data); err != nil {
-		c.reg.Add("cache.read.corrupt", 1)
-		return false
-	}
-	c.reg.Add("cache.read.hit", 1)
-	return true
-}
-
 // GetValue reads the decoded value for key through the tiers: L1 first,
 // then the disk tier via decode, inserting a disk hit into L1 so the next
-// same-process lookup skips the decode. The returned value is shared with
-// every other getter of the key — callers must treat it (and everything
-// reachable from it) as immutable, and decode must build it in fresh
-// storage, never in pooled buffers.
+// same-process lookup skips the decode. With L1 disabled every call
+// decodes from disk. Any failure — missing entry, torn pack, codec
+// mismatch — is a miss. The returned value may be shared with every other
+// getter of the key — callers must treat it (and everything reachable from
+// it) as immutable, and decode must build it in fresh storage, never in
+// pooled buffers.
 func (c *Cache) GetValue(key string, decode func(data []byte) (any, error)) (any, bool) {
 	if len(key) < 2 || c.st.closed.Load() {
 		c.reg.Add("cache.read.miss", 1)
@@ -281,7 +202,7 @@ func (c *Cache) Put(key string, data []byte) error {
 		c.reg.Add("cache.write.error", 1)
 		return fmt.Errorf("analysiscache: write to closed handle")
 	}
-	c.reg.Add("cache.write", 1)
+	c.chargeWrite(len(data))
 	return c.maybeFlush(c.st.l2.put(key, data))
 }
 
@@ -303,8 +224,15 @@ func (c *Cache) PutValue(key string, val any, encoded []byte) error {
 		}
 		c.reg.SetGauge("cache.l1.bytes", float64(l1.bytes.Load()))
 	}
-	c.reg.Add("cache.write", 1)
+	c.chargeWrite(len(encoded))
 	return c.maybeFlush(c.st.l2.put(key, encoded))
+}
+
+// chargeWrite counts one queued entry and its encoded bytes, so a run's
+// cache.write.bytes traces the disk growth its writes cause.
+func (c *Cache) chargeWrite(n int) {
+	c.reg.Add("cache.write", 1)
+	c.reg.Add("cache.write.bytes", int64(n))
 }
 
 // maybeFlush flushes one shard when put reported its threshold or interval
@@ -389,9 +317,6 @@ func (c *Cache) Close() error {
 		return err
 	}
 }
-
-// Closed reports whether the last owner has released the handle.
-func (c *Cache) Closed() bool { return c.st.closed.Load() }
 
 // Flight deduplicates concurrent computations of key: the first caller
 // (the leader) runs fn while every concurrent caller with the same key

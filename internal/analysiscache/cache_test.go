@@ -37,6 +37,25 @@ func (p *payload) decode(data []byte) error {
 	return r.Done()
 }
 
+// decodePayload is the GetValue decode callback for payload entries.
+func decodePayload(data []byte) (any, error) {
+	p := new(payload)
+	if err := p.decode(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// get reads key through GetValue, the cache's one read path, copying a hit
+// into dst.
+func get(c *Cache, key string, dst *payload) bool {
+	v, ok := c.GetValue(key, decodePayload)
+	if ok {
+		*dst = *v.(*payload)
+	}
+	return ok
+}
+
 func mustOpen(t *testing.T, dir string, opts ...Option) *Cache {
 	t.Helper()
 	c, err := Open(dir, opts...)
@@ -62,46 +81,56 @@ func packFiles(t *testing.T, dir string) []string {
 	return out
 }
 
+// TestRoundTrip runs with L1 at its default budget and disabled: either
+// way a Put entry is served from the pending batch before the flush and
+// from disk by a fresh handle after it.
 func TestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir)
-	key := KeyOf("test", "round-trip")
-	want := payload{Name: "x", Lines: []int{1, 2, 3}}
-	if err := c.Put(key, want.encode()); err != nil {
-		t.Fatal(err)
-	}
-	// Pre-flush: the entry is served from the pending batch.
-	var got payload
-	if !c.Get(key, got.decode) {
-		t.Fatal("expected hit from the pending batch after Put")
-	}
-	if got.Name != want.Name || len(got.Lines) != 3 || got.Lines[2] != 3 {
-		t.Fatalf("decoded %+v, want %+v", got, want)
-	}
-	if len(packFiles(t, dir)) != 0 {
-		t.Fatal("Put must not write before a flush")
-	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"l1", nil}, {"no-l1", []Option{WithMemory(0)}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := mustOpen(t, dir, tc.opts...)
+			key := KeyOf("test", "round-trip")
+			want := payload{Name: "x", Lines: []int{1, 2, 3}}
+			if err := c.Put(key, want.encode()); err != nil {
+				t.Fatal(err)
+			}
+			// Pre-flush: the entry is served from the pending batch.
+			var got payload
+			if !get(c, key, &got) {
+				t.Fatal("expected hit from the pending batch after Put")
+			}
+			if got.Name != want.Name || len(got.Lines) != 3 || got.Lines[2] != 3 {
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			}
+			if len(packFiles(t, dir)) != 0 {
+				t.Fatal("Put must not write before a flush")
+			}
 
-	// Post-flush: a fresh handle reads the pack from disk.
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(packFiles(t, dir)) != 1 {
-		t.Fatalf("one pending shard must flush as one pack, got %v", packFiles(t, dir))
-	}
-	got = payload{}
-	if !mustOpen(t, dir).Get(key, got.decode) || got.Name != "x" {
-		t.Fatal("expected hit from disk after Flush")
+			// Post-flush: a fresh handle reads the pack from disk.
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(packFiles(t, dir)) != 1 {
+				t.Fatalf("one pending shard must flush as one pack, got %v", packFiles(t, dir))
+			}
+			got = payload{}
+			if !get(mustOpen(t, dir, tc.opts...), key, &got) || got.Name != "x" {
+				t.Fatal("expected hit from disk after Flush")
+			}
+		})
 	}
 }
 
 func TestMissingKey(t *testing.T) {
 	c := mustOpen(t, t.TempDir())
 	var v payload
-	if c.Get(KeyOf("never", "stored"), v.decode) {
+	if get(c, KeyOf("never", "stored"), &v) {
 		t.Fatal("expected miss for unknown key")
 	}
-	if c.Get("", v.decode) || c.Get("a", v.decode) {
+	if get(c, "", &v) || get(c, "a", &v) {
 		t.Fatal("short keys must miss, not panic")
 	}
 }
@@ -132,7 +161,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if get(mustOpen(t, dir), key, &v) {
 		t.Fatal("truncated pack must be a miss")
 	}
 
@@ -140,7 +169,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := os.WriteFile(packs[0], []byte("not a valid pack"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if get(mustOpen(t, dir), key, &v) {
 		t.Fatal("garbage pack must be a miss")
 	}
 
@@ -152,7 +181,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := c2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "again" {
+	if !get(mustOpen(t, dir), key, &v) || v.Name != "again" {
 		t.Fatal("Put+Flush over a corrupt pack must restore the entry")
 	}
 }
@@ -178,7 +207,7 @@ func TestOldFormatDirIsCleanMisses(t *testing.T) {
 	}
 	c := mustOpen(t, dir)
 	var v payload
-	if c.Get(key, v.decode) {
+	if get(c, key, &v) {
 		t.Fatal("old-format entry must read as a miss")
 	}
 	if err := c.Put(key, (&payload{Name: "new"}).encode()); err != nil {
@@ -187,7 +216,7 @@ func TestOldFormatDirIsCleanMisses(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "new" {
+	if !get(mustOpen(t, dir), key, &v) || v.Name != "new" {
 		t.Fatal("current format must repopulate alongside the old files")
 	}
 	for _, p := range oldPaths {
@@ -229,10 +258,10 @@ func TestShardDirDeletedMidRun(t *testing.T) {
 		t.Fatalf("flush after cache-dir deletion must recreate the shard dir, got %v", err)
 	}
 	var v payload
-	if !c.Get(k2, v.decode) || v.Name != "second" {
+	if !get(c, k2, &v) || v.Name != "second" {
 		t.Fatal("same-handle read must hit after the repaired flush")
 	}
-	if !mustOpen(t, dir).Get(k2, v.decode) || v.Name != "second" {
+	if !get(mustOpen(t, dir), k2, &v) || v.Name != "second" {
 		t.Fatal("the repaired flush must be durable on disk")
 	}
 }

@@ -29,7 +29,7 @@ func TestZeroByteEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if get(mustOpen(t, dir), key, &v) {
 		t.Fatal("zero-byte pack must be a miss")
 	}
 	c2 := mustOpen(t, dir)
@@ -39,7 +39,7 @@ func TestZeroByteEntryIsMiss(t *testing.T) {
 	if err := c2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "repaired" {
+	if !get(mustOpen(t, dir), key, &v) || v.Name != "repaired" {
 		t.Fatal("Put+Flush must repair a zero-byte pack")
 	}
 }
@@ -89,7 +89,7 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 			polling = false
 		default:
 			var v payload
-			if c.Get(key, v.decode) {
+			if get(c, key, &v) {
 				checkHit(v)
 			}
 		}
@@ -98,13 +98,13 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if !c.Get(key, v.decode) {
+	if !get(c, key, &v) {
 		t.Fatal("expected a hit after all writers finished")
 	}
 	checkHit(v)
 	// A fresh handle must decode the on-disk packs to one coherent entry.
 	v = payload{}
-	if !mustOpen(t, dir).Get(key, v.decode) {
+	if !get(mustOpen(t, dir), key, &v) {
 		t.Fatal("expected a durable hit from a fresh handle")
 	}
 	checkHit(v)
@@ -134,7 +134,7 @@ func TestUnusableDirDegradesToMisses(t *testing.T) {
 			t.Fatal("Flush through a non-directory root must error")
 		}
 		var v payload
-		if c.Get(key, v.decode) {
+		if get(c, key, &v) {
 			t.Fatal("a dropped batch must not leave a readable entry")
 		}
 	})
@@ -169,10 +169,10 @@ func TestUnusableDirDegradesToMisses(t *testing.T) {
 			t.Fatal("Flush into a read-only root must error")
 		}
 		var v payload
-		if c.Get(fresh, v.decode) {
+		if get(c, fresh, &v) {
 			t.Fatal("entry whose batch was dropped must miss")
 		}
-		if !c.Get(stored, v.decode) || v.Name != "kept" {
+		if !get(c, stored, &v) || v.Name != "kept" {
 			t.Fatal("read-only root must still serve existing entries")
 		}
 	})

@@ -93,13 +93,7 @@ func TestL1TTLExpiry(t *testing.T) {
 // the counters tell the two paths apart.
 func TestGetValueTiered(t *testing.T) {
 	dir := t.TempDir()
-	decode := func(data []byte) (any, error) {
-		p := new(payload)
-		if err := p.decode(data); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
+	decode := decodePayload
 
 	reg := obs.NewRegistry()
 	c := mustOpen(t, dir).WithRegistry(reg)
@@ -107,6 +101,9 @@ func TestGetValueTiered(t *testing.T) {
 	want := &payload{Name: "v", Lines: []int{7}}
 	if err := c.PutValue(key, want, want.encode()); err != nil {
 		t.Fatal(err)
+	}
+	if got, n := reg.Counter("cache.write.bytes"), int64(len(want.encode())); reg.Counter("cache.write") != 1 || got != n {
+		t.Fatalf("PutValue charged write=%d write.bytes=%d, want 1 and %d", reg.Counter("cache.write"), got, n)
 	}
 	v, ok := c.GetValue(key, decode)
 	if !ok || v.(*payload) != want {
@@ -138,9 +135,6 @@ func TestGetValueTiered(t *testing.T) {
 	// With the memory tier disabled, GetValue decodes every time.
 	reg3 := obs.NewRegistry()
 	c3 := mustOpen(t, dir, WithMemory(0)).WithRegistry(reg3)
-	if c3.MemoryEnabled() {
-		t.Fatal("WithMemory(0) must disable L1")
-	}
 	for i := 0; i < 2; i++ {
 		if _, ok := c3.GetValue(key, decode); !ok {
 			t.Fatal("L1-disabled GetValue must still serve from disk")
@@ -150,6 +144,9 @@ func TestGetValueTiered(t *testing.T) {
 		t.Fatalf("L1-disabled counters wrong: read.hit=%d l1.hit=%d",
 			reg3.Counter("cache.read.hit"), reg3.Counter("cache.l1.hit"))
 	}
+	if st := c3.Stats(); st.L1Entries != 0 {
+		t.Fatalf("WithMemory(0) must disable L1, yet it holds %d entries", st.L1Entries)
+	}
 }
 
 // TestConcurrentSameKeyValueOps hammers a small key set with concurrent
@@ -158,19 +155,13 @@ func TestGetValueTiered(t *testing.T) {
 func TestConcurrentSameKeyValueOps(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := mustOpen(t, t.TempDir(), WithMemory(4096), WithTTL(time.Hour))
+			dir := t.TempDir()
+			c := mustOpen(t, dir, WithMemory(4096))
 			keys := make([]string, 8)
 			vals := make([]*payload, len(keys))
 			for i := range keys {
 				keys[i] = KeyOf("conc", fmt.Sprint(i))
 				vals[i] = &payload{Name: fmt.Sprintf("v-%d", i), Lines: []int{i, i}}
-			}
-			decode := func(data []byte) (any, error) {
-				p := new(payload)
-				if err := p.decode(data); err != nil {
-					return nil, err
-				}
-				return p, nil
 			}
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -185,7 +176,7 @@ func TestConcurrentSameKeyValueOps(t *testing.T) {
 								return
 							}
 						}
-						if v, ok := c.GetValue(keys[k], decode); ok {
+						if v, ok := c.GetValue(keys[k], decodePayload); ok {
 							if got := v.(*payload).Name; got != vals[k].Name {
 								t.Errorf("key %d decoded %q, want %q", k, got, vals[k].Name)
 								return
@@ -201,10 +192,12 @@ func TestConcurrentSameKeyValueOps(t *testing.T) {
 			if err := c.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			// Every key must be durable and coherent afterwards.
+			// Every key must be durable and coherent afterwards: a fresh
+			// handle with L1 off decodes each one from disk.
+			fresh := mustOpen(t, dir, WithMemory(0))
 			for i, k := range keys {
 				var v payload
-				if !c.Get(k, v.decode) || v.Name != vals[i].Name {
+				if !get(fresh, k, &v) || v.Name != vals[i].Name {
 					t.Fatalf("key %d not durable after the storm", i)
 				}
 			}

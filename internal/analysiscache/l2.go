@@ -32,9 +32,7 @@ const (
 // the life of the handle — bounded by what this process actually reads, and
 // the payloads the callers decode would otherwise be read again per lookup.
 type l2Tier struct {
-	dir        string
-	flushBytes int64
-	flushEvery time.Duration
+	dir string
 
 	// dirs remembers which shard directories are known to exist so a flush
 	// pays the mkdir probe at most once per shard per process. A stale bit
@@ -63,8 +61,8 @@ type l2Shard struct {
 	loaded bool
 }
 
-func newL2Tier(dir string, flushBytes int64, flushEvery time.Duration) *l2Tier {
-	t := &l2Tier{dir: dir, flushBytes: flushBytes, flushEvery: flushEvery}
+func newL2Tier(dir string) *l2Tier {
+	t := &l2Tier{dir: dir}
 	for i := range t.shards {
 		t.shards[i].n = i
 	}
@@ -149,7 +147,7 @@ func (t *l2Tier) put(key string, data []byte) *l2Shard {
 		s.pending[key] = data
 		s.pendingBytes += int64(len(data))
 	}
-	if s.pendingBytes >= t.flushBytes || now.Sub(s.dirtySince) >= t.flushEvery {
+	if s.pendingBytes >= flushBytes || now.Sub(s.dirtySince) >= flushInterval {
 		return s
 	}
 	return nil

@@ -27,6 +27,27 @@ func mustGet(t *testing.T, c *Cache, key, want string) {
 	}
 }
 
+// assertOpen checks by behaviour that the handle is still usable: a new
+// entry is accepted and reads back.
+func assertOpen(t *testing.T, c *Cache) {
+	t.Helper()
+	probe := KeyOf("lifecycle", "open-probe")
+	put(t, c, probe, "probe")
+	mustGet(t, c, probe, "probe")
+}
+
+// assertClosed checks by behaviour that the last owner released the handle:
+// a Put is rejected and the previously stored entry under key misses.
+func assertClosed(t *testing.T, c *Cache, key string) {
+	t.Helper()
+	if err := c.Put(KeyOf("lifecycle", "closed-probe"), []byte("x")); err == nil {
+		t.Fatal("Put on a released handle did not error")
+	}
+	if _, ok := c.GetValue(key, func(data []byte) (any, error) { return string(data), nil }); ok {
+		t.Fatal("GetValue on a released handle returned a hit")
+	}
+}
+
 func TestRetainKeepsHandleOpenAcrossClose(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -40,9 +61,7 @@ func TestRetainKeepsHandleOpenAcrossClose(t *testing.T) {
 	if err := c.Close(); err != nil { // first owner's CLI-style release
 		t.Fatalf("first Close: %v", err)
 	}
-	if c.Closed() {
-		t.Fatal("handle closed while a second owner still holds it")
-	}
+	assertOpen(t, c) // the handle must stay open while a second owner holds it
 
 	// The surviving owner must still be able to read the first owner's
 	// entries and write new ones.
@@ -53,20 +72,11 @@ func TestRetainKeepsHandleOpenAcrossClose(t *testing.T) {
 	if err := second.Close(); err != nil {
 		t.Fatalf("final Close: %v", err)
 	}
-	if !c.Closed() {
-		t.Fatal("handle not closed after the last owner released it")
-	}
-
 	// A closed handle degrades: reads miss, writes are rejected, and a
 	// redundant Close is a no-op — never a panic or a torn tier.
-	if _, ok := c.GetValue(k1, func(data []byte) (any, error) { return string(data), nil }); ok {
-		t.Error("GetValue on a closed handle returned a hit")
-	}
+	assertClosed(t, c, k1)
 	if err := c.PutValue(k1, "x", []byte("x")); err == nil {
 		t.Error("PutValue on a closed handle did not error")
-	}
-	if err := c.Put(k1, []byte("x")); err == nil {
-		t.Error("Put on a closed handle did not error")
 	}
 	if err := c.Flush(); err != nil {
 		t.Errorf("Flush on a closed handle: %v", err)
@@ -113,18 +123,14 @@ func TestLifecycleClosePerRequestConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Closed() {
-		t.Fatal("request-scoped Closes closed the daemon's handle")
-	}
+	assertOpen(t, c) // request-scoped Closes must not close the daemon's handle
 	for i := 0; i < requests; i++ {
 		mustGet(t, c, KeyOf("lifecycle-conc", fmt.Sprint(i)), fmt.Sprintf("value-%d", i))
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("daemon Close: %v", err)
 	}
-	if !c.Closed() {
-		t.Fatal("daemon's final Close did not close the handle")
-	}
+	assertClosed(t, c, KeyOf("lifecycle-conc", "0"))
 	reopened, err := Open(c.Dir())
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func GlobalPass(ctx context.Context, req Request, merged *cpg.ShardArtifact, dis
 	engine.Workers = req.Options.Workers
 	req.Options.Cache = nil
 	run := &Run{Trace: req.Trace}
-	if _, err := globalPass(ctx, req, engine, "", "", merged, disc, run); err != nil {
+	if _, err := globalPass(ctx, req, engine, "", merged, disc, run); err != nil {
 		return run, err
 	}
 	confirm(run, req.Options)
@@ -114,11 +114,9 @@ func GlobalPass(ctx context.Context, req Request, merged *cpg.ShardArtifact, dis
 // globalPass is GlobalPass without confirmation, which Analyze runs outside
 // admission and after the store so cached entries stay
 // confirmation-agnostic. It fills run in place, so a cancelled pass still
-// leaves the partial Run visible. With req.Options.Cache set, it preloads
-// the facts entry fKey and, once checking completes, stores the unit entry
-// key and (if the preload missed) the facts entry, returning the stored unit
-// entry.
-func globalPass(ctx context.Context, req Request, engine *Engine, key, fKey string, merged *cpg.ShardArtifact, disc apidb.Discovery, run *Run) (*unitEntry, error) {
+// leaves the partial Run visible. With req.Options.Cache set, once checking
+// completes it stores the unit entry under key and returns it.
+func globalPass(ctx context.Context, req Request, engine *Engine, key string, merged *cpg.ShardArtifact, disc apidb.Discovery, run *Run) (*unitEntry, error) {
 	opt := req.Options
 	root := req.Trace.Root()
 	reg := req.Trace.Reg()
@@ -134,20 +132,6 @@ func globalPass(ctx context.Context, req Request, engine *Engine, key, fKey stri
 	}
 
 	uf := facts.NewUnit(u)
-	cache := opt.Cache
-	factsHit := false
-	if cache != nil {
-		if v, ok := cache.GetValue(fKey, decodeFactsValue); ok {
-			// The snapshot may be L1-shared across runs; Preload only reads
-			// it, and checkers treat facts as immutable.
-			factsHit = uf.Preload(v.(map[string]*facts.Data))
-		}
-		if factsHit {
-			reg.Add("cache.facts.hit", 1)
-		} else {
-			reg.Add("cache.facts.miss", 1)
-		}
-	}
 	csp := root.Child("phase:check")
 	engine.Obs = csp
 	run.Reports = engine.CheckUnitFactsContext(ctx, uf)
@@ -158,6 +142,7 @@ func globalPass(ctx context.Context, req Request, engine *Engine, key, fKey stri
 		// list must never be cached under the full corpus key.
 		return nil, err
 	}
+	cache := opt.Cache
 	if cache == nil {
 		return nil, nil
 	}
@@ -170,13 +155,6 @@ func globalPass(ctx context.Context, req Request, engine *Engine, key, fKey stri
 	// other processes without waiting for thresholds.
 	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
 	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-	if !factsHit {
-		// Snapshot forces any still-uncomputed functions (a subset run with
-		// only unit-scoped checkers may not have touched them all) so the
-		// facts entry always covers the whole unit.
-		snap := uf.Snapshot()
-		_ = cache.PutValue(fKey, snap, facts.EncodeSnapshot(snap))
-	}
 	_ = cache.Flush()
 	ssp.End()
 	return ent, nil

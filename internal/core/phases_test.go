@@ -87,7 +87,7 @@ func phaseView(tr *obs.Trace) (phases map[string]bool, counters map[string]int64
 	counters = map[string]int64{}
 	for name, v := range tr.Reg().Counters() {
 		if strings.HasPrefix(name, "frontend.") || strings.HasPrefix(name, "reports.") ||
-			strings.HasPrefix(name, "cache.facts.") || name == "checker.functions" {
+			name == "checker.functions" {
 			counters[name] = v
 		}
 	}

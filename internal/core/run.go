@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/cpg"
-	"repro/internal/facts"
 	"repro/internal/obs"
 	"repro/internal/semantics"
 )
@@ -55,8 +54,8 @@ type Run struct {
 
 // Metric returns a counter from the run's trace registry (0 when the run
 // was untraced). It is the cache-visibility API that replaced the old
-// CacheStats struct: cache.unit.hit, cache.facts.hit, frontend.cache.hit,
-// frontend.cache.miss, pipeline.files_skipped, and every other counter in
+// CacheStats struct: cache.unit.hit, cache.write, cache.write.bytes,
+// frontend.cache.hit, frontend.cache.miss, pipeline.files_skipped, and every other counter in
 // the catalog (see internal/obs).
 func (r *Run) Metric(name string) int64 {
 	return r.Trace.Reg().Counter(name)
@@ -74,9 +73,8 @@ type unitEntry struct {
 
 // corpusFP fingerprints the full sorted corpus content (sources and
 // headers). Analysis has cross-file dependencies — API discovery, the
-// inter-paired checker, and the facts layer read the whole unit — so every
-// unit-scoped cache key must cover every file; per-file keys would be
-// unsound.
+// inter-paired checker, and the facts layer read the whole unit — so the
+// unit cache key must cover every file; per-file keys would be unsound.
 func corpusFP(sources []cpg.Source, headers map[string]string) string {
 	h := sha256.New()
 	add := func(s string) {
@@ -112,14 +110,6 @@ func corpusFP(sources []cpg.Source, headers map[string]string) string {
 // runs), and the full corpus content.
 func unitCacheKey(configFP, checkersFP, corpus string) string {
 	return analysiscache.KeyOf("unit-v4", configFP, checkersFP, corpus)
-}
-
-// factsCacheKey fingerprints the per-function facts entry. The checker
-// selection is deliberately absent: facts are checker-independent, which is
-// exactly why a subset run can reuse the facts a full run computed (and vice
-// versa) even though their unit-level keys differ.
-func factsCacheKey(configFP, corpus string) string {
-	return analysiscache.KeyOf("facts-v3", configFP, corpus)
 }
 
 // stripWitnessBlocks deep-copies reports with each witness event's CFG block
@@ -182,14 +172,6 @@ func lookupUnit(cache *analysiscache.Cache, key string) (*unitEntry, bool) {
 	return v.(*unitEntry), true
 }
 
-func decodeFactsValue(data []byte) (any, error) {
-	snap, err := facts.DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
 // serveCached fills run from a cached (or flight-shared) unit entry. The
 // report slice is copied because confirmation writes Confirmed per report
 // while the entry stays shared via L1; the witnesses underneath are
@@ -203,9 +185,9 @@ func serveCached(run *Run, ent *unitEntry, req Request, reg *obs.Registry) {
 
 // runPhases is Analyze's computation on a miss: a non-retaining local pass
 // over all sources, the exchange into opt.DB (a fresh DB when nil), and the
-// global pass, all in this process. key and fKey name the cache entries the
-// global pass stores (unused when uncached).
-func runPhases(ctx context.Context, req Request, engine *Engine, key, fKey string, run *Run) (*unitEntry, error) {
+// global pass, all in this process. key names the unit entry the global
+// pass stores (unused when uncached).
+func runPhases(ctx context.Context, req Request, engine *Engine, key string, run *Run) (*unitEntry, error) {
 	art, err := LocalPassInProcess(ctx, req, req.Sources)
 	if err != nil {
 		return nil, err
@@ -216,7 +198,7 @@ func runPhases(ctx context.Context, req Request, engine *Engine, key, fKey strin
 	xsp := req.Trace.Root().Child("phase:exchange")
 	merged, disc := Exchange(req.Options.DB, []*cpg.ShardArtifact{art})
 	xsp.Int("structs", len(disc.Structs)).Int("apis", len(disc.APIs)).Int("loops", len(disc.Loops)).End()
-	return globalPass(ctx, req, engine, key, fKey, merged, disc, run)
+	return globalPass(ctx, req, engine, key, merged, disc, run)
 }
 
 // confirm runs the refsim confirmation phase over run's reports when
@@ -243,12 +225,13 @@ func confirm(run *Run, opt Options) {
 // entry is shared with the waiters (counted as cache.singleflight.wait, and
 // served exactly like a cache hit: Unit stays nil). On a miss the local
 // pass consults the per-file front-end cache so only changed files are
-// re-preprocessed, and the global pass preloads the per-function facts
-// entry so checking skips path enumeration and event normalization, then
-// stores the unit and facts entries.
+// re-preprocessed, and the global pass recomputes facts and checks, then
+// stores the unit entry. A miss therefore writes one unit entry plus one
+// front-end entry per re-preprocessed file (cache.write; cache.write.bytes
+// counts their encoded size).
 // Reports are byte-identical across {no cache, cold cache, warm cache,
-// L1-warm, facts-only hit, partial hit} at any worker count, with or
-// without a trace attached.
+// L1-warm, partial hit} at any worker count, with or without a trace
+// attached.
 //
 // With Options.Admit set, every real pipeline computation — the uncached
 // path and the single-flight leader — first acquires an admission slot;
@@ -286,7 +269,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		if err != nil {
 			return run, err
 		}
-		_, perr := runPhases(ctx, req, engine, "", "", run)
+		_, perr := runPhases(ctx, req, engine, "", run)
 		release()
 		if perr != nil {
 			return run, perr
@@ -296,9 +279,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	}
 
 	sp := root.Child("phase:cache-lookup")
-	corpus := corpusFP(req.Sources, req.Headers)
-	key := unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpus)
-	fKey := factsCacheKey(opt.ConfigFP, corpus)
+	key := unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpusFP(req.Sources, req.Headers))
 	ent, hit := lookupUnit(cache, key)
 	sp.End()
 	if hit {
@@ -326,7 +307,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		defer release()
 		reg.Add("cache.singleflight.leader", 1)
 		computed = true
-		ent, err := runPhases(ctx, req, engine, key, fKey, run)
+		ent, err := runPhases(ctx, req, engine, key, run)
 		if err != nil {
 			return nil, err
 		}

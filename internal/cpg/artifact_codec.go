@@ -187,7 +187,7 @@ func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
 
 func decodeArtFile(r *bincodec.Reader, dt *decTables) *ArtFile {
 	af := &ArtFile{Path: dt.str(r)}
-	af.Tokens = decodeTokens(r, dt, nil)
+	af.Tokens = decodeTokens(r, dt)
 	nMacros := r.Count()
 	if nMacros > 0 {
 		af.Macros = make(map[string]*cpp.Macro, nMacros)

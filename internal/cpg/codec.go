@@ -142,12 +142,12 @@ func encodeTokens(w *bincodec.Writer, in *interner, toks []clex.Token) {
 	}
 }
 
-func decodeTokens(r *bincodec.Reader, dt *decTables, dst []clex.Token) []clex.Token {
+func decodeTokens(r *bincodec.Reader, dt *decTables) []clex.Token {
 	n := r.Count()
-	if cap(dst) < n {
+	var dst []clex.Token
+	if n > 0 {
 		dst = make([]clex.Token, 0, n)
 	}
-	dst = dst[:0]
 	for i := 0; i < n; i++ {
 		dst = append(dst, decodeToken(r, dt))
 		if r.Err() != nil {
@@ -195,7 +195,7 @@ func decodeMacro(r *bincodec.Reader, dt *decTables) *cpp.Macro {
 	m.FuncLike = r.Bool()
 	m.Predefined = r.Bool()
 	m.DefinedAt = decodePosInterned(r, dt)
-	m.Body = decodeTokens(r, dt, nil)
+	m.Body = decodeTokens(r, dt)
 	if len(m.Body) == 0 {
 		m.Body = nil
 	}
@@ -239,10 +239,9 @@ func encodeFrontEntry(ent *frontEntry) []byte {
 	return w.Bytes()
 }
 
-// decodeFrontEntry parses data into ent, reusing tokBuf (when large enough)
-// for the main token stream so a pooled buffer can back it. It returns
-// bincodec.ErrCorrupt on any malformed input.
-func decodeFrontEntry(data []byte, ent *frontEntry, tokBuf []clex.Token) error {
+// decodeFrontEntry parses data into ent. It returns bincodec.ErrCorrupt on
+// any malformed input.
+func decodeFrontEntry(data []byte, ent *frontEntry) error {
 	r := bincodec.NewReader(data)
 	if r.U32() != feMagic {
 		r.Fail()
@@ -275,7 +274,7 @@ func decodeFrontEntry(data []byte, ent *frontEntry, tokBuf []clex.Token) error {
 	for i := 0; i < nDeps; i++ {
 		ent.Closure = append(ent.Closure, cpp.IncludeDep{Path: r.String(), Hash: r.String()})
 	}
-	ent.Tokens = decodeTokens(r, dt, tokBuf)
+	ent.Tokens = decodeTokens(r, dt)
 	nMacros := r.Count()
 	ent.Macros = make(map[string]*cpp.Macro, nMacros)
 	for i := 0; i < nMacros; i++ {
@@ -289,14 +288,14 @@ func decodeFrontEntry(data []byte, ent *frontEntry, tokBuf []clex.Token) error {
 	return r.Done()
 }
 
-// decodeFrontValue is the value-tier decode callback: it builds a frontEntry
+// decodeFrontValue is the GetValue decode callback: it builds a frontEntry
 // in fresh storage (no pooled buffers) suitable for retention in the cache's
 // in-memory tier and sharing across builds. The Macros map is normalized to
 // non-nil here, eagerly, because the shared entry must never be mutated by a
 // reader.
 func decodeFrontValue(data []byte) (any, error) {
 	ent := new(frontEntry)
-	if err := decodeFrontEntry(data, ent, nil); err != nil {
+	if err := decodeFrontEntry(data, ent); err != nil {
 		return nil, err
 	}
 	if ent.Macros == nil {

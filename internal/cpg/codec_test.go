@@ -53,7 +53,7 @@ func TestFrontEntryRoundTrip(t *testing.T) {
 	want := sampleEntry()
 	enc := encodeFrontEntry(want)
 	var got frontEntry
-	if err := decodeFrontEntry(enc, &got, nil); err != nil {
+	if err := decodeFrontEntry(enc, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(*want, got) {
@@ -66,32 +66,19 @@ func TestFrontEntryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrontEntryDecodeReusesBuffer(t *testing.T) {
-	want := sampleEntry()
-	enc := encodeFrontEntry(want)
-	buf := make([]clex.Token, 0, 64)
-	var got frontEntry
-	if err := decodeFrontEntry(enc, &got, buf); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got.Tokens) == 0 || &got.Tokens[0] != &buf[:1][0] {
-		t.Fatal("decode did not reuse the provided token buffer")
-	}
-}
-
 func TestFrontEntryCorruptInputs(t *testing.T) {
 	enc := encodeFrontEntry(sampleEntry())
 	// Every truncation must fail cleanly.
 	for cut := 0; cut < len(enc); cut++ {
 		var ent frontEntry
-		if err := decodeFrontEntry(enc[:cut], &ent, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+		if err := decodeFrontEntry(enc[:cut], &ent); !errors.Is(err, bincodec.ErrCorrupt) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
 	}
 	// Trailing garbage is corrupt: a valid entry consumes its input exactly.
 	var ent frontEntry
 	long := append(bytes.Clone(enc), 0)
-	if err := decodeFrontEntry(long, &ent, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+	if err := decodeFrontEntry(long, &ent); !errors.Is(err, bincodec.ErrCorrupt) {
 		t.Fatalf("trailing byte: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -108,7 +95,7 @@ func FuzzCacheCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ent frontEntry
-		if err := decodeFrontEntry(data, &ent, nil); err != nil {
+		if err := decodeFrontEntry(data, &ent); err != nil {
 			if !errors.Is(err, bincodec.ErrCorrupt) {
 				t.Fatalf("decode error %v is not ErrCorrupt", err)
 			}
@@ -116,7 +103,7 @@ func FuzzCacheCodec(f *testing.F) {
 		}
 		enc := encodeFrontEntry(&ent)
 		var ent2 frontEntry
-		if err := decodeFrontEntry(enc, &ent2, nil); err != nil {
+		if err := decodeFrontEntry(enc, &ent2); err != nil {
 			t.Fatalf("canonical form failed to decode: %v", err)
 		}
 		if enc2 := encodeFrontEntry(&ent2); !bytes.Equal(enc, enc2) {

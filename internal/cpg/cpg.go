@@ -153,10 +153,6 @@ type frontEnd struct {
 	hc       *cpp.HeaderCache
 	cache    *analysiscache.Cache
 	predefFP string
-	// l1hold marks a cache with an active in-memory value tier: front-entry
-	// reads then go through GetValue, which retains the decoded entry, so
-	// decoding must not target the pooled token buffer (see parseOne).
-	l1hold bool
 	// retain makes parseOne copy each TU's expanded token stream into fresh
 	// storage (parsed.tokens) so the artifact can be serialized after the
 	// pooled buffers are released.
@@ -270,40 +266,20 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 			cppN: len(res.Errors), tokens: fe.retainToks(res.Tokens)}
 	}
 	key := analysiscache.KeyOf("fe-v3", fe.predefFP, src.Path, src.Content)
-	if fe.l1hold {
-		// Value-tier path: the decoded entry lands in the cache's L1 and is
-		// shared with every later build, so it must live in fresh storage —
-		// never the pooled buffer — and be treated as immutable from here.
-		// The pooled buf stays untouched and returns to the pool unused.
-		if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
-			ent := v.(*frontEntry)
-			if fe.closureValid(ent.Closure) {
-				fe.reg.Add("frontend.cache.hit", 1)
-				file, perrs := cparse.ParseFileArena(src.Path, ent.Tokens, fe.stats)
-				errs := make([]error, 0, len(ent.CppErrors)+len(perrs))
-				for _, s := range ent.CppErrors {
-					errs = append(errs, errors.New(s))
-				}
-				errs = append(errs, perrs...)
-				return parsed{file: file, macros: ent.Macros, errs: errs,
-					cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens)}
-			}
-		}
-	} else {
-		var ent frontEntry
-		if fe.cache.Get(key, func(data []byte) error { return decodeFrontEntry(data, &ent, buf) }) &&
-			fe.closureValid(ent.Closure) {
+	// The decoded entry may land in the cache's L1 and be shared with every
+	// later build, so it lives in fresh storage — never the pooled buffer —
+	// and is treated as immutable from here. The pooled buf stays untouched
+	// and returns to the pool unused.
+	if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
+		ent := v.(*frontEntry)
+		if fe.closureValid(ent.Closure) {
 			fe.reg.Add("frontend.cache.hit", 1)
-			buf = ent.Tokens
 			file, perrs := cparse.ParseFileArena(src.Path, ent.Tokens, fe.stats)
 			errs := make([]error, 0, len(ent.CppErrors)+len(perrs))
 			for _, s := range ent.CppErrors {
 				errs = append(errs, errors.New(s))
 			}
 			errs = append(errs, perrs...)
-			if ent.Macros == nil {
-				ent.Macros = map[string]*cpp.Macro{}
-			}
 			return parsed{file: file, macros: ent.Macros, errs: errs,
 				cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens)}
 		}
@@ -370,7 +346,6 @@ func (b *Builder) newFrontEnd() *frontEnd {
 	fe := &frontEnd{b: b, hc: hc, cache: b.Cache,
 		predefFP: predefFingerprint(b.Predefines),
 		reg:      b.Obs.Reg(), stats: &arena.Stats{}}
-	fe.l1hold = b.Cache != nil && b.Cache.MemoryEnabled()
 	fe.tokPool.Stats = fe.stats
 	return fe
 }

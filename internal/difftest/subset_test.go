@@ -23,11 +23,10 @@ func runOpts(ss SourceSet, cache *analysiscache.Cache, checkers []core.Pattern) 
 	return run
 }
 
-// TestCheckerSubsetCacheIsolation proves the two cache-key claims the
-// -checkers flag depends on: subset runs and full runs never share a
-// unit-level entry (no poisoning in either direction), while both share the
-// checker-independent facts entry (a subset run against a full-run cache
-// skips straight to the pattern queries).
+// TestCheckerSubsetCacheIsolation proves the cache-key claim the -checkers
+// flag depends on: subset runs and full runs never share a unit-level entry
+// (no poisoning in either direction), and each selection's cached output is
+// byte-identical to its uncached run.
 func TestCheckerSubsetCacheIsolation(t *testing.T) {
 	ss := FromCorpus(corpus.Generate(corpus.Spec{Seed: 1}))
 	subset := []core.Pattern{core.P1, core.P4}
@@ -44,24 +43,20 @@ func TestCheckerSubsetCacheIsolation(t *testing.T) {
 		t.Fatal("fixture too weak: full and subset runs render identically")
 	}
 
-	// Cold full run populates the unit entry and the facts entry.
+	// Cold full run populates the unit entry.
 	cold := runOpts(ss, cache, nil)
-	if cold.Metric("cache.unit.hit") != 0 || cold.Metric("cache.facts.hit") != 0 {
-		t.Fatalf("cold run hit the cache: unit=%d facts=%d",
-			cold.Metric("cache.unit.hit"), cold.Metric("cache.facts.hit"))
+	if cold.Metric("cache.unit.hit") != 0 {
+		t.Fatalf("cold run hit the unit cache: unit=%d", cold.Metric("cache.unit.hit"))
 	}
 	if got := RenderRun(cold); got != fullRef {
 		t.Fatalf("cold cached run differs from uncached run:\n%s", firstDiff(fullRef, got))
 	}
 
-	// Subset run against the full-run cache: different unit key (miss), same
-	// facts key (hit), byte-identical to the uncached subset run.
+	// Subset run against the full-run cache: different unit key (miss),
+	// byte-identical to the uncached subset run.
 	sub := runOpts(ss, cache, subset)
 	if sub.Metric("cache.unit.hit") != 0 {
 		t.Fatal("subset run must not reuse the full run's unit entry")
-	}
-	if sub.Metric("cache.facts.hit") != 1 {
-		t.Fatal("subset run should reuse the checker-independent facts entry")
 	}
 	if got := RenderRun(sub); got != subsetRef {
 		t.Fatalf("cached subset run differs from uncached subset run:\n%s", firstDiff(subsetRef, got))

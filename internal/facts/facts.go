@@ -9,10 +9,9 @@
 // engine gets exactly-once semantics at any worker count) and hands the same
 // immutable FunctionFacts value to every checker.
 //
-// The serializable portion (Data) is fully self-contained: CFG block pointers
-// are stripped, branch directions and error-block reachability are resolved
-// at compute time, so a Data round-trips through gob (the analysiscache
-// facts-entry kind) and reproduces byte-identical reports. Checkers must
+// The data portion (Data) is fully self-contained: CFG block pointers are
+// stripped and branch directions and error-block reachability are resolved
+// at compute time, so no consumer needs the CFG to read it. Checkers must
 // treat every slice and map reachable from FunctionFacts as read-only.
 package facts
 
@@ -39,12 +38,12 @@ const (
 // CFG blocks themselves.
 type Trace struct {
 	// Events holds the path's events in block order, with CFG block
-	// pointers stripped (blocks form cycles gob cannot encode, and the
-	// resolved fields below replace every query that needed them).
+	// pointers stripped (the resolved fields below replace every query
+	// that needed them).
 	Events []semantics.Event
 	// BlockAt is the path position of each event's block. Positions are
-	// path indices (bounded far below 2^31), stored as int32 so the cache
-	// codec and the in-memory footprint halve.
+	// path indices (bounded far below 2^31), stored as int32 so the
+	// in-memory footprint halves.
 	BlockAt []int32
 	// ErrFrom[k] reports whether the path visits an error-handling block
 	// at or after path position k; the extra index len(path) is always
@@ -87,10 +86,9 @@ func (tr *Trace) BranchNull(i int) []string {
 	return nil
 }
 
-// Data is the serializable per-function fact set: everything derived from
-// the function's CFG and events that checkers query, in a form that survives
-// a gob round-trip through the analysis cache. Maps and slices are left nil
-// when empty so computed and decoded values are indistinguishable.
+// Data is the per-function fact set: everything derived from the function's
+// CFG and events that checkers query, free of CFG pointers. Maps and slices
+// are left nil when empty.
 type Data struct {
 	// Traces enumerates the function's bounded acyclic paths
 	// (cfg.Graph.Paths semantics), normalized per Trace.
@@ -112,7 +110,7 @@ type Data struct {
 }
 
 // FunctionFacts is the immutable per-function value handed to every checker:
-// the serializable Data plus cheap recomputed views (declared variable types,
+// the pointer-free Data plus cheap recomputed views (declared variable types,
 // parameter set) and back-references into the unit.
 type FunctionFacts struct {
 	Unit *cpg.Unit
@@ -165,12 +163,10 @@ func (ff *FunctionFacts) SmartLoop(ev semantics.Event) bool {
 	return ev.FromMacro != "" && ff.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
-// slot memoizes one function's facts; pre holds a cache-preloaded Data that
-// the first Function call adopts instead of computing.
+// slot memoizes one function's facts.
 type slot struct {
 	once sync.Once
 	ff   *FunctionFacts
-	pre  *Data
 }
 
 // UnitFacts owns the lazily computed facts of every defined function in a
@@ -207,44 +203,28 @@ func (uf *UnitFacts) Function(name string) *FunctionFacts {
 	}
 	s.once.Do(func() {
 		fn := uf.Unit.Functions[name]
-		d := s.pre
-		if d == nil {
-			d = computeData(fn)
-			uf.computes.Add(1)
-		}
+		uf.computes.Add(1)
 		s.ff = &FunctionFacts{
 			Unit:     uf.Unit,
 			Fn:       fn,
-			Data:     d,
+			Data:     computeData(fn),
 			VarTypes: varTypes(fn),
 		}
 	})
 	return s.ff
 }
 
-// Computes returns how many functions' facts were computed (as opposed to
-// preloaded) so far — the memoization tests assert it equals the defined
-// function count exactly once per unit at any worker count.
+// Computes returns how many functions' facts were computed so far — the
+// memoization tests assert it equals the defined function count exactly
+// once per unit at any worker count.
 func (uf *UnitFacts) Computes() int64 { return uf.computes.Load() }
 
 // Observe records the facts layer's work into reg: facts.computed counts
-// functions whose facts were derived from the CPG this run, facts.preloaded
-// counts functions served from a cache snapshot. Call after checking
-// completes; both totals are deterministic at any worker count because the
-// memoization is exactly-once.
+// functions whose facts were derived from the CPG this run. Call after
+// checking completes; the total is deterministic at any worker count
+// because the memoization is exactly-once.
 func (uf *UnitFacts) Observe(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	computed := uf.computes.Load()
-	reg.Add("facts.computed", computed)
-	preloaded := int64(0)
-	for _, s := range uf.slots {
-		if s.pre != nil && s.ff != nil && s.ff.Data == s.pre {
-			preloaded++
-		}
-	}
-	reg.Add("facts.preloaded", preloaded)
+	reg.Add("facts.computed", uf.computes.Load())
 }
 
 // SmartLoop is FunctionFacts.SmartLoop for unit-scoped checkers.
@@ -252,35 +232,7 @@ func (uf *UnitFacts) SmartLoop(ev semantics.Event) bool {
 	return ev.FromMacro != "" && uf.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
-// Preload seeds not-yet-computed slots from a cached snapshot, returning
-// true only when the snapshot covered every defined function. It must be
-// called before checking starts; slots already computed keep their value.
-func (uf *UnitFacts) Preload(snap map[string]*Data) bool {
-	if len(snap) == 0 {
-		return false
-	}
-	complete := true
-	for name, s := range uf.slots {
-		if d := snap[name]; d != nil {
-			s.pre = d
-		} else {
-			complete = false
-		}
-	}
-	return complete
-}
-
-// Snapshot returns every defined function's serializable facts (forcing any
-// not yet computed), keyed by function name — the analysiscache facts entry.
-func (uf *UnitFacts) Snapshot() map[string]*Data {
-	out := make(map[string]*Data, len(uf.names))
-	for _, name := range uf.names {
-		out[name] = uf.Function(name).Data
-	}
-	return out
-}
-
-// computeData derives one function's serializable facts. The trace
+// computeData derives one function's Data. The trace
 // flattening mirrors the engine's historical per-checker walk exactly: for
 // each path, events in block order with their path positions, branch
 // directions resolved against the successor actually taken, and error-block

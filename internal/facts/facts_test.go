@@ -1,9 +1,7 @@
 package facts_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"sync"
 	"testing"
 
@@ -137,69 +135,5 @@ func TestTraceSchema(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("fixture should produce at least one path through an error block")
-	}
-}
-
-// TestSnapshotCodecRoundTrip proves the facts cache entry is faithful: a
-// Snapshot survives the production binary codec (what the facts-v2 cache
-// entry actually stores) and a fresh unit preloaded from it serves
-// identical Data without computing anything.
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	u := buildFixture(t)
-	uf := facts.NewUnit(u)
-	snap := uf.Snapshot()
-
-	decoded, err := facts.DecodeSnapshot(facts.EncodeSnapshot(snap))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	for name, d := range snap {
-		want, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(decoded[name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: decoded facts differ from computed:\nwant %s\ngot  %s", name, want, got)
-		}
-	}
-
-	uf2 := facts.NewUnit(u)
-	if !uf2.Preload(decoded) {
-		t.Fatal("Preload of a complete snapshot should report true")
-	}
-	for _, name := range uf2.FunctionNames() {
-		if uf2.Function(name).Data != decoded[name] {
-			t.Fatalf("%s: preloaded slot did not adopt the snapshot Data", name)
-		}
-	}
-	if got := uf2.Computes(); got != 0 {
-		t.Fatalf("Computes after full preload = %d, want 0", got)
-	}
-}
-
-// TestPreloadIncomplete: a snapshot missing any function must not count as a
-// facts hit (the missing function would silently recompute and the cache
-// stats would lie).
-func TestPreloadIncomplete(t *testing.T) {
-	u := buildFixture(t)
-	snap := facts.NewUnit(u).Snapshot()
-	delete(snap, "f_plain")
-
-	uf := facts.NewUnit(u)
-	if uf.Preload(snap) {
-		t.Fatal("Preload of an incomplete snapshot should report false")
-	}
-	if uf.Function("f_plain") == nil {
-		t.Fatal("missing function must still compute on demand")
-	}
-	if got := uf.Computes(); got != 1 {
-		t.Fatalf("Computes = %d, want 1 (only the missing function)", got)
-	}
-	if uf2 := facts.NewUnit(u); uf2.Preload(nil) {
-		t.Fatal("Preload(nil) should report false")
 	}
 }

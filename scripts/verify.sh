@@ -171,3 +171,18 @@ if grep 'watch: run 2 ' "$tmp/watch.log" | grep -q 'front end: 0 hits'; then
     cat "$tmp/watch.log" >&2
     exit 1
 fi
+# The edit's write set: run 2 may store the unit entry plus one front-end
+# entry per re-preprocessed file, and nothing else.
+run2="$(grep 'watch: run 2 ' "$tmp/watch.log" || true)"
+fe_misses="$(printf '%s\n' "$run2" | sed -n 's/.* \([0-9][0-9]*\) misses; wrote .*/\1/p')"
+written="$(printf '%s\n' "$run2" | sed -n 's/.*; wrote \([0-9][0-9]*\) entries.*/\1/p')"
+if [ -z "$fe_misses" ] || [ -z "$written" ]; then
+    echo "verify: cannot parse the watch re-run's cache writes" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+fi
+if [ "$written" -gt $((1 + fe_misses)) ]; then
+    echo "verify: watch re-run wrote $written cache entries, want at most 1 + $fe_misses front-end misses" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+fi
