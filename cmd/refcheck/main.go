@@ -194,9 +194,9 @@ func main() {
 	}
 
 	if opts.Verbose {
-		fmt.Fprintf(os.Stderr, "refcheck: analyzed %d files in %v (%.1f files/sec, workers=%d)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: analyzed %d files in %v (%.1f files/sec, workers=%d%s)\n",
 			len(req.Sources), elapsed.Round(time.Millisecond),
-			float64(len(req.Sources))/elapsed.Seconds(), opts.Workers)
+			float64(len(req.Sources))/elapsed.Seconds(), opts.Workers, peakRSS())
 		if cache != nil {
 			printCacheStats(run, cache)
 		}

@@ -6,9 +6,11 @@
 //
 // Two ownership regimes, one package:
 //
-//   - Slab[T] hands out pointers into large chunks, so allocating N nodes
-//     costs O(N/chunk) heap allocations instead of O(N). Slab memory is
-//     never recycled: the nodes it backs are retained by the Unit, so the
+//   - Slab[T] hands out pointers into chunks that grow geometrically up to
+//     a cap, so allocating N nodes costs O(N/chunk) heap allocations
+//     instead of O(N) while a slab holding k nodes never has more than
+//     2k+4 slots. Slab memory is never recycled: the nodes it backs are
+//     retained by their owner (a parsed file, a function's CFG), so the
 //     chunks simply ride along and are collected with it.
 //
 //   - Pool[T] recycles whole []T buffers through a sync.Pool. Pool memory is
@@ -24,7 +26,7 @@
 // silently aliasing.
 //
 // Stats is an atomic counter sink shared by every allocator of a build; the
-// cpg builder feeds it into the obs registry (arena.bytes, arena.chunks,
+// facts layer feeds it into the obs registry (arena.bytes, arena.chunks,
 // arena.reused, arena.released) so the allocation win is visible in
 // -stats-json.
 package arena
@@ -111,10 +113,12 @@ func (a *Arena) Release() {
 func (a *Arena) Released() bool { return a.released.Load() }
 
 // Slab is a chunked bump allocator for values of type T. New returns
-// pointers into chunks of chunkSize values, so the pointer cost of a parse
-// is O(chunks), not O(nodes). Pointers stay valid forever — chunks are never
-// recycled — and the zero Slab is ready to use. A Slab is single-goroutine;
-// share the Stats, not the Slab.
+// pointers into chunks, so the pointer cost of a parse is O(chunks), not
+// O(nodes). Chunks follow ChunkLen's schedule from minChunk up to
+// defaultChunk values: most slabs back one small function or file, and a
+// fixed full-size first chunk would be mostly slack. Pointers stay valid
+// forever — chunks are never recycled — and the zero Slab is ready to use.
+// A Slab is single-goroutine; share the Stats, not the Slab.
 type Slab[T any] struct {
 	// Stats, when set, receives the chunk allocation counters.
 	Stats *Stats
@@ -123,7 +127,25 @@ type Slab[T any] struct {
 	poisoned bool
 }
 
-const defaultChunk = 64
+const (
+	minChunk     = 4
+	defaultChunk = 64
+)
+
+// ChunkLen returns the length of the chunk that follows one of length prev
+// in a geometric schedule: first when there is none yet (prev == 0), then
+// doubling up to limit (limit must be first times a power of two). A bump
+// allocator on this schedule that has handed out k slots holds at most
+// 2k+first, since every chunk but the newest is full and the newest is at
+// most the size of all the full ones plus first; a large owner still pays
+// O(k/limit) allocations. The window carvers in internal/cparse and
+// internal/cfg share the schedule with Slab.
+func ChunkLen(prev, first, limit int) int {
+	if prev == 0 {
+		return first
+	}
+	return min(2*prev, limit)
+}
 
 // New copies v into the slab and returns a stable pointer to the copy.
 func (s *Slab[T]) New(v T) *T {
@@ -132,8 +154,9 @@ func (s *Slab[T]) New(v T) *T {
 	}
 	if len(s.cur) == cap(s.cur) {
 		var t T
-		s.cur = make([]T, 0, defaultChunk)
-		s.Stats.addAlloc(defaultChunk * int(unsafe.Sizeof(t)))
+		n := ChunkLen(cap(s.cur), minChunk, defaultChunk)
+		s.cur = make([]T, 0, n)
+		s.Stats.addAlloc(n * int(unsafe.Sizeof(t)))
 	}
 	s.cur = append(s.cur, v)
 	return &s.cur[len(s.cur)-1]

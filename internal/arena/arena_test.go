@@ -70,21 +70,30 @@ func TestArenaOnReleaseAfterReleasePanics(t *testing.T) {
 
 // TestSlabAllocationIsPerChunk is the TestNopZeroAllocation analog for the
 // arena fast path: allocating N nodes must cost O(N/chunk) heap
-// allocations, not O(N).
+// allocations, not O(N). 640 nodes take the geometric ramp 4+8+16+32 (60
+// slots) and then ten full 64-slot chunks: 14 chunks.
 func TestSlabAllocationIsPerChunk(t *testing.T) {
 	type node struct{ a, b, c int }
 	const n = 10 * defaultChunk
-	var s *Slab[node]
+	const chunks = 4 + 10
+	st := &Stats{}
+	s := &Slab[node]{Stats: st}
+	for i := 0; i < n; i++ {
+		s.New(node{a: i})
+	}
+	if got := st.Chunks.Load(); got != chunks {
+		t.Errorf("Chunks=%d for %d nodes, want %d", got, n, chunks)
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		s = &Slab[node]{}
 		for i := 0; i < n; i++ {
 			s.New(node{a: i})
 		}
 	})
-	// n/defaultChunk chunks plus the slab itself, with slack for the
+	// One allocation per chunk plus the slab itself, with slack for the
 	// runtime; far below one alloc per node.
-	if allocs > float64(n/defaultChunk)+4 {
-		t.Errorf("slab cost %.0f allocs for %d nodes; want ~%d (per chunk)", allocs, n, n/defaultChunk)
+	if allocs > chunks+4 {
+		t.Errorf("slab cost %.0f allocs for %d nodes; want ~%d (per chunk)", allocs, n, chunks)
 	}
 }
 
@@ -100,11 +109,43 @@ func TestSlabPointerStabilityAndStats(t *testing.T) {
 			t.Fatalf("slab value %d = %d after later allocations", i, *p)
 		}
 	}
-	if st.Chunks.Load() != 3 {
-		t.Errorf("Chunks=%d, want 3", st.Chunks.Load())
+	// 192 ints: 4+8+16+32 (60 slots), then three 64-slot chunks (252).
+	if got := st.Chunks.Load(); got != 7 {
+		t.Errorf("Chunks=%d, want 7", got)
 	}
-	if st.Bytes.Load() == 0 {
-		t.Error("Bytes counter did not advance")
+	if got, want := st.Bytes.Load(), int64(252*8); got != want {
+		t.Errorf("Bytes=%d, want %d", got, want)
+	}
+}
+
+// TestSlabSlackBound pins what the geometric schedule buys: a slab holding
+// k nodes has at most 2k+4 slots, so a small owner (one short function's
+// CFG, one small file's AST) no longer pays for a whole 64-slot chunk.
+func TestSlabSlackBound(t *testing.T) {
+	for k := 0; k <= 20*defaultChunk; k++ {
+		st := &Stats{}
+		s := &Slab[int64]{Stats: st}
+		for i := 0; i < k; i++ {
+			s.New(int64(i))
+		}
+		if slots := st.Bytes.Load() / 8; slots > int64(2*k+minChunk) {
+			t.Fatalf("k=%d: %d slots, want <= 2k+4 = %d", k, slots, 2*k+minChunk)
+		}
+	}
+}
+
+// TestChunkLenSchedule pins the shared schedule the window carvers use.
+func TestChunkLenSchedule(t *testing.T) {
+	var got []int
+	for n := 0; len(got) < 7; {
+		n = ChunkLen(n, 16, 256)
+		got = append(got, n)
+	}
+	want := []int{16, 32, 64, 128, 256, 256, 256}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("schedule = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -127,106 +127,104 @@ func isNilNode(n Node) bool {
 
 // Calls returns all call expressions under n, in pre-order.
 func Calls(n Node) []*CallExpr {
-	return CallsInto(nil, n)
+	return callsInto(nil, n)
 }
 
-// CallsInto appends all call expressions under n to dst, in pre-order, and
-// returns the extended slice. Callers that scan many functions pass the
-// previous result re-sliced to zero length so one buffer amortizes across
-// the whole sweep. It recurses directly rather than going through Walk: the
-// dst-capturing closure Walk would need costs one heap allocation per call,
-// and this runs once per function in the callgraph sweep. The child
+// callsInto appends all call expressions under n to dst, in pre-order, and
+// returns the extended slice. It recurses directly rather than going through
+// Walk: the dst-capturing closure Walk would need costs one heap allocation
+// per call, and discovery runs this once per function. The child
 // enumeration below must mirror Walk's.
-func CallsInto(dst []*CallExpr, n Node) []*CallExpr {
+func callsInto(dst []*CallExpr, n Node) []*CallExpr {
 	if n == nil || isNilNode(n) {
 		return dst
 	}
 	switch x := n.(type) {
 	case *File:
 		for _, d := range x.Decls {
-			dst = CallsInto(dst, d)
+			dst = callsInto(dst, d)
 		}
 	case *FuncDef:
 		if x.Body != nil {
-			dst = CallsInto(dst, x.Body)
+			dst = callsInto(dst, x.Body)
 		}
 	case *VarDecl:
-		dst = CallsInto(dst, x.Init)
+		dst = callsInto(dst, x.Init)
 		for _, fi := range x.Inits {
-			dst = CallsInto(dst, fi.Value)
+			dst = callsInto(dst, fi.Value)
 		}
 	case *CompoundStmt:
 		for _, s := range x.Stmts {
-			dst = CallsInto(dst, s)
+			dst = callsInto(dst, s)
 		}
 	case *DeclStmt:
-		dst = CallsInto(dst, x.Init)
+		dst = callsInto(dst, x.Init)
 	case *ExprStmt:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *IfStmt:
-		dst = CallsInto(dst, x.Cond)
-		dst = CallsInto(dst, x.Then)
-		dst = CallsInto(dst, x.Else)
+		dst = callsInto(dst, x.Cond)
+		dst = callsInto(dst, x.Then)
+		dst = callsInto(dst, x.Else)
 	case *ForStmt:
-		dst = CallsInto(dst, x.Init)
-		dst = CallsInto(dst, x.Cond)
-		dst = CallsInto(dst, x.Post)
-		dst = CallsInto(dst, x.Body)
+		dst = callsInto(dst, x.Init)
+		dst = callsInto(dst, x.Cond)
+		dst = callsInto(dst, x.Post)
+		dst = callsInto(dst, x.Body)
 	case *WhileStmt:
-		dst = CallsInto(dst, x.Cond)
-		dst = CallsInto(dst, x.Body)
+		dst = callsInto(dst, x.Cond)
+		dst = callsInto(dst, x.Body)
 	case *DoWhileStmt:
-		dst = CallsInto(dst, x.Body)
-		dst = CallsInto(dst, x.Cond)
+		dst = callsInto(dst, x.Body)
+		dst = callsInto(dst, x.Cond)
 	case *SwitchStmt:
-		dst = CallsInto(dst, x.Tag)
-		dst = CallsInto(dst, x.Body)
+		dst = callsInto(dst, x.Tag)
+		dst = callsInto(dst, x.Body)
 	case *CaseStmt:
-		dst = CallsInto(dst, x.Value)
+		dst = callsInto(dst, x.Value)
 	case *ReturnStmt:
-		dst = CallsInto(dst, x.Value)
+		dst = callsInto(dst, x.Value)
 	case *CondStmt:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *LabelStmt:
-		dst = CallsInto(dst, x.Stmt)
+		dst = callsInto(dst, x.Stmt)
 	case *CallExpr:
 		dst = append(dst, x)
-		dst = CallsInto(dst, x.Fun)
+		dst = callsInto(dst, x.Fun)
 		for _, a := range x.Args {
-			dst = CallsInto(dst, a)
+			dst = callsInto(dst, a)
 		}
 	case *BinaryExpr:
-		dst = CallsInto(dst, x.X)
-		dst = CallsInto(dst, x.Y)
+		dst = callsInto(dst, x.X)
+		dst = callsInto(dst, x.Y)
 	case *UnaryExpr:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *AssignExpr:
-		dst = CallsInto(dst, x.LHS)
-		dst = CallsInto(dst, x.RHS)
+		dst = callsInto(dst, x.LHS)
+		dst = callsInto(dst, x.RHS)
 	case *MemberExpr:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *IndexExpr:
-		dst = CallsInto(dst, x.X)
-		dst = CallsInto(dst, x.Index)
+		dst = callsInto(dst, x.X)
+		dst = callsInto(dst, x.Index)
 	case *ParenExpr:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *CondExpr:
-		dst = CallsInto(dst, x.Cond)
-		dst = CallsInto(dst, x.Then)
-		dst = CallsInto(dst, x.Else)
+		dst = callsInto(dst, x.Cond)
+		dst = callsInto(dst, x.Then)
+		dst = callsInto(dst, x.Else)
 	case *CastExpr:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *SizeofExpr:
-		dst = CallsInto(dst, x.X)
+		dst = callsInto(dst, x.X)
 	case *CommaExpr:
-		dst = CallsInto(dst, x.X)
-		dst = CallsInto(dst, x.Y)
+		dst = callsInto(dst, x.X)
+		dst = callsInto(dst, x.Y)
 	case *InitListExpr:
 		for _, e := range x.Elems {
-			dst = CallsInto(dst, e)
+			dst = callsInto(dst, e)
 		}
 		for _, fi := range x.Fields {
-			dst = CallsInto(dst, fi.Value)
+			dst = callsInto(dst, fi.Value)
 		}
 	}
 	return dst

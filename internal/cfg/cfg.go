@@ -138,16 +138,21 @@ func (b *builder) newBlock() *Block {
 	return blk
 }
 
-const stmtChunk = 256
+const (
+	stmtChunkFirst, stmtChunk = 16, 256
+	edgeChunkFirst, edgeChunk = 8, 128
+)
 
 // stmtWindow reserves a zero-length, capacity-4 view of the statement chunk;
 // most blocks hold at most a handful of leaf statements, and the ones that
-// overflow migrate to the heap on the fifth append.
+// overflow migrate to the heap on the fifth append. Chunks grow on
+// arena.ChunkLen's schedule, so a short function pays for a short chunk.
 func (b *builder) stmtWindow() []cast.Stmt {
 	if cap(b.stmtBuf)-len(b.stmtBuf) < 4 {
-		b.stmtBuf = make([]cast.Stmt, 0, stmtChunk)
+		n := arena.ChunkLen(cap(b.stmtBuf), stmtChunkFirst, stmtChunk)
+		b.stmtBuf = make([]cast.Stmt, 0, n)
 		if b.stats != nil {
-			b.stats.Bytes.Add(stmtChunk * 16)
+			b.stats.Bytes.Add(int64(n) * 16)
 			b.stats.Chunks.Add(1)
 		}
 	}
@@ -156,16 +161,15 @@ func (b *builder) stmtWindow() []cast.Stmt {
 	return b.stmtBuf[n : n : n+4]
 }
 
-const edgeChunk = 128
-
 // edgeWindow reserves a zero-length, capacity-2 view of the edge chunk.
 // Appending up to two elements fills the reserved slots; a third append
 // reallocates onto the heap without touching neighboring windows.
 func (b *builder) edgeWindow() []*Block {
 	if cap(b.edges)-len(b.edges) < 2 {
-		b.edges = make([]*Block, 0, edgeChunk)
+		n := arena.ChunkLen(cap(b.edges), edgeChunkFirst, edgeChunk)
+		b.edges = make([]*Block, 0, n)
 		if b.stats != nil {
-			b.stats.Bytes.Add(edgeChunk * 8)
+			b.stats.Bytes.Add(int64(n) * 8)
 			b.stats.Chunks.Add(1)
 		}
 	}

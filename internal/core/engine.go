@@ -95,9 +95,11 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 		}
 	}
 
-	// Unit-scoped checkers (P6) run first, on the coordinating goroutine;
-	// the function queue is fed only after they return, so the two never
-	// overlap. Facts either side computes are memoized in UnitFacts.
+	// The function queue runs first, so every function's facts — and with
+	// them its transient CFG — are computed on the parallel workers.
+	// Unit-scoped checkers (P6) then run on the coordinating goroutine after
+	// the queue drains, reading the memoized facts; the two never overlap.
+	checked := workpool.Run(ctx, e.Workers, len(fns), checkFn)
 	unitResults := make([][]Report, len(e.Checkers))
 	for ci, c := range e.Checkers {
 		if uc, ok := c.(UnitChecker); ok {
@@ -106,7 +108,6 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 			sp.Int("candidates", len(unitResults[ci])).End()
 		}
 	}
-	checked := workpool.Run(ctx, e.Workers, len(fns), checkFn)
 
 	// Merge in checker-major, function-name order — exactly the order the
 	// sequential loop produced, so finalize sees an identical input stream
@@ -138,8 +139,9 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 // Options configures the one-call pipeline.
 type Options struct {
 	// Workers is the single parallelism knob, threaded through the CPG
-	// builder (file-sharded front end, per-function assembly), the checker
-	// engine, and — when Confirm is set — the refsim confirmation stage.
+	// builder (file-sharded front end), the checker engine (per-function
+	// facts, CFGs included, and checking), and — when Confirm is set — the
+	// refsim confirmation stage.
 	// 0 means GOMAXPROCS; 1 forces a fully sequential run. Output is
 	// byte-identical at any worker count.
 	Workers int

@@ -65,20 +65,21 @@ type Parser struct {
 	// argBuf and stmtBuf back call-argument and compound-statement slices
 	// with small capacity-bounded windows (see the window helpers in
 	// internal/cfg for the pattern); lists that outgrow their window migrate
-	// to the heap via ordinary append reallocation.
+	// to the heap via ordinary append reallocation. Their chunks grow on
+	// arena.ChunkLen's schedule, so a small file pays for small chunks.
 	argBuf  []cast.Expr
 	stmtBuf []cast.Stmt
 }
 
 const (
-	argChunkLen  = 256
-	stmtChunkLen = 512
+	argChunkFirst, argChunkLen   = 16, 256
+	stmtChunkFirst, stmtChunkLen = 32, 512
 )
 
 // argWindow reserves a zero-length, capacity-4 view for a call's arguments.
 func (p *Parser) argWindow() []cast.Expr {
 	if cap(p.argBuf)-len(p.argBuf) < 4 {
-		p.argBuf = make([]cast.Expr, 0, argChunkLen)
+		p.argBuf = make([]cast.Expr, 0, arena.ChunkLen(cap(p.argBuf), argChunkFirst, argChunkLen))
 	}
 	n := len(p.argBuf)
 	p.argBuf = p.argBuf[:n+4]
@@ -89,7 +90,7 @@ func (p *Parser) argWindow() []cast.Expr {
 // statements.
 func (p *Parser) stmtWindow() []cast.Stmt {
 	if cap(p.stmtBuf)-len(p.stmtBuf) < 8 {
-		p.stmtBuf = make([]cast.Stmt, 0, stmtChunkLen)
+		p.stmtBuf = make([]cast.Stmt, 0, arena.ChunkLen(cap(p.stmtBuf), stmtChunkFirst, stmtChunkLen))
 	}
 	n := len(p.stmtBuf)
 	p.stmtBuf = p.stmtBuf[:n+8]

@@ -44,8 +44,8 @@ type ShardArtifact struct {
 	Files []*ArtFile
 
 	// stats carries the arena counters of the front end (and of any
-	// reparse) into assembly, so the arena.* gauges cover the whole build.
-	// It is not serialized.
+	// reparse) onto the assembled Unit, where the facts layer adds its CFG
+	// slabs and publishes the arena.* gauges. It is not serialized.
 	stats *arena.Stats
 }
 

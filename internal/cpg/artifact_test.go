@@ -139,8 +139,8 @@ func unitFingerprint(u *Unit) string {
 	}
 	for _, name := range u.FunctionNames() {
 		fn := u.Functions[name]
-		fmt.Fprintf(&b, "fn %s file=%s defined=%v events=%v\n",
-			name, fn.File, fn.Graph != nil, fn.Events != nil)
+		fmt.Fprintf(&b, "fn %s file=%s defined=%v\n",
+			name, fn.File, fn.Def.Body != nil)
 	}
 	fmt.Fprintf(&b, "structs=%d globals=%d macros=%d\n",
 		len(u.Structs), len(u.Globals), len(u.Macros))
@@ -148,9 +148,6 @@ func unitFingerprint(u *Unit) string {
 		u.DiscoveredAPIs, u.DiscoveredLoops, u.DiscoveredDeviations)
 	for _, cb := range u.CallbackBindings() {
 		fmt.Fprintf(&b, "cb %s %v %v\n", cb.Pair.Struct, cb.Acquire != nil, cb.Release != nil)
-	}
-	for _, callee := range []string{"node_next", "node_put", "consume"} {
-		fmt.Fprintf(&b, "calls %s=%d\n", callee, len(u.Calls[callee]))
 	}
 	return b.String()
 }

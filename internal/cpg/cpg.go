@@ -1,15 +1,17 @@
 // Package cpg assembles whole-translation-unit code property graphs: the
 // paper's "Graph Generation" stage (§6.1, built there with JOERN).
 //
-// A Unit combines, for a set of C sources, the ASTs, per-function CFGs,
-// semantic event streams, struct/global tables, the preprocessor macro
-// table, and a call graph — everything the nine checkers query. A Unit is
-// built in two halves with the paper's "Lexer Parsing" stage between them:
+// A Unit combines, for a set of C sources, the ASTs, struct/global tables,
+// the preprocessor macro table and the callback bindings the checkers
+// query. Control-flow graphs and semantic event streams are not part of it:
+// the facts layer (internal/facts) builds them per function when a checker
+// first asks, and keeps only the facts derived from them. A Unit is built
+// in two halves with the paper's "Lexer Parsing" stage between them:
 // BuildArtifactContext runs the per-file front end and records each file's
 // discovery observation, the caller replays the observations into the API
 // knowledge base (apidb.Apply: refcounted structures, wrapper APIs,
-// smartloops, deviations), and AssembleContext merges the files and
-// extracts events against the extended DB.
+// smartloops, deviations), and AssembleContext merges the files' ASTs and
+// declarations under the extended DB.
 package cpg
 
 import (
@@ -23,27 +25,18 @@ import (
 	"repro/internal/apidb"
 	"repro/internal/arena"
 	"repro/internal/cast"
-	"repro/internal/cfg"
 	"repro/internal/clex"
 	"repro/internal/cparse"
 	"repro/internal/cpp"
 	"repro/internal/obs"
-	"repro/internal/semantics"
 	"repro/internal/workpool"
 )
 
-// Function is one function definition with its analysis artifacts.
+// Function is one function definition (or, when Def.Body is nil, a
+// prototype) and the file that declares it.
 type Function struct {
-	Def    *cast.FuncDef
-	File   string
-	Graph  *cfg.Graph            // nil for prototypes
-	Events *semantics.FuncEvents // nil for prototypes
-}
-
-// CallSite is one static call to a named function.
-type CallSite struct {
-	Caller *Function
-	Call   *cast.CallExpr
+	Def  *cast.FuncDef
+	File string
 }
 
 // CallbackBinding records a designated-initializer binding like
@@ -64,8 +57,10 @@ type Unit struct {
 	Structs   map[string]*cast.StructDecl
 	Globals   map[string]*cast.VarDecl
 	Macros    map[string]*cpp.Macro
-	Calls     map[string][]CallSite // callee name → sites
 	Errors    []error
+	// Arena aggregates the build's allocator counters: the front end's AST
+	// slabs and token pools, plus the CFG slabs the facts layer adds.
+	Arena *arena.Stats
 
 	// Discovered names from the lexer-parsing stage (reported by tools).
 	DiscoveredStructs    []string
@@ -82,9 +77,10 @@ type Source struct {
 
 // Builder configures unit construction.
 type Builder struct {
-	// DB is the API knowledge base assembly extracts events against: the
-	// one the exchange replayed the artifact's observations into. The front
-	// end never consults it. Nil means a fresh apidb.New().
+	// DB is the API knowledge base the unit carries to the facts layer,
+	// which extracts events against it: the one the exchange replayed the
+	// artifact's observations into. The front end never consults it. Nil
+	// means a fresh apidb.New().
 	DB *apidb.DB
 	// Headers resolves #include; nil skips unresolvable includes. The
 	// provider must be safe for concurrent reads (plain maps are: the
@@ -93,10 +89,10 @@ type Builder struct {
 	// Predefines are macros defined before each file (e.g. __KERNEL__).
 	Predefines map[string]string
 	// Workers bounds the file-sharded preprocess+parse concurrency (the
-	// front end) and the per-function analysis concurrency (assembly);
-	// 0 means GOMAXPROCS, 1 forces sequential building. Results are
-	// byte-identical either way — files and functions are processed
-	// independently and merged in deterministic order.
+	// front end, and the reparse of decoded artifacts in assembly); 0 means
+	// GOMAXPROCS, 1 forces sequential building. Results are byte-identical
+	// either way — files are processed independently and merged in
+	// deterministic order.
 	Workers int
 	// HeaderCache shares lexed header token lines across the unit's files
 	// (and, if the caller reuses it, across builds); nil means a fresh
@@ -158,9 +154,9 @@ type frontEnd struct {
 	// pooled buffers are released.
 	retain bool
 
-	// stats aggregates the build's arena counters (slab chunks in the parser
-	// and CFG builder, pooled token buffers here); atomic, shared by all
-	// workers.
+	// stats aggregates the build's arena counters (slab chunks in the
+	// parser, pooled token buffers here; the facts layer later adds CFG
+	// slabs); atomic, shared by all workers.
 	stats *arena.Stats
 	// tokPool recycles the per-TU expanded-token buffers across files of the
 	// build. A buffer is borrowed in parseOne and returned when that TU's
@@ -392,16 +388,15 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 
 // AssembleContext runs the global half of a build over a (possibly merged,
 // possibly decoded) artifact: reparse wire-format files and drop every token
-// stream (Hydrate), merge declarations in sorted path order, and run
-// per-function analysis. disc is
-// what the exchange added when it replayed the artifact's observations into
-// b.DB (apidb.Apply), and b.DB must be that same DB: assembly extracts
-// events against it and records disc's name lists on the unit.
+// stream (Hydrate), then merge files, declarations, macros and errors in
+// sorted path order. disc is what the exchange added when it replayed the
+// artifact's observations into b.DB (apidb.Apply), and b.DB must be that
+// same DB: the unit carries it to the facts layer, which extracts events
+// against it, and records disc's name lists.
 //
-// When ctx is cancelled mid-assembly the work queues drain cleanly and the
-// returned Unit holds whatever completed: files whose reparse never ran are
-// absent, and unfed functions keep nil Graph/Events and are excluded by
-// DefinedFunctions. Callers that care about partial results check ctx.Err().
+// When ctx is cancelled mid-assembly the reparse queue drains cleanly and
+// the returned Unit holds whatever completed: files whose reparse never ran
+// are absent. Callers that care about partial results check ctx.Err().
 func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
 	db := b.DB
 	if db == nil {
@@ -413,7 +408,6 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		Structs:   map[string]*cast.StructDecl{},
 		Globals:   map[string]*cast.VarDecl{},
 		Macros:    map[string]*cpp.Macro{},
-		Calls:     map[string][]CallSite{},
 
 		DiscoveredStructs:    disc.Structs,
 		DiscoveredAPIs:       disc.APIs,
@@ -421,7 +415,7 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		DiscoveredDeviations: disc.Deviations,
 	}
 	art.Hydrate(ctx, b.Workers, b.Obs)
-	stats := art.stats
+	u.Arena = art.stats
 
 	// Merge declarations, macros and errors in sorted path order — the exact
 	// order the sequential loop used, so the unit is deterministic. A nil
@@ -448,50 +442,6 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 			}
 		}
 	}
-
-	// Per-function analysis: CFGs and events.
-	sem := b.Obs.Child("semantics")
-	globals := make(map[string]bool, len(u.Globals))
-	for name := range u.Globals {
-		globals[name] = true
-	}
-	ext := &semantics.Extractor{DB: db, GlobalNames: globals}
-	var defined []*Function
-	for _, name := range u.FunctionNames() {
-		if fn := u.Functions[name]; fn.Def.Body != nil {
-			defined = append(defined, fn)
-		}
-	}
-	analyzed := workpool.Run(ctx, b.Workers, len(defined), func(i int) {
-		fn := defined[i]
-		fn.Graph = cfg.BuildArena(fn.Def, stats)
-		fn.Events = ext.Extract(fn.Graph)
-	})
-	sem.Int("functions", analyzed).End()
-	// The call graph is assembled sequentially in name order so Calls slices
-	// are deterministic.
-	cg := b.Obs.Child("callgraph")
-	var callBuf []*cast.CallExpr
-	for _, fn := range defined {
-		callBuf = cast.CallsInto(callBuf[:0], fn.Def.Body)
-		for _, call := range callBuf {
-			if cn := call.Callee(); cn != "" {
-				u.Calls[cn] = append(u.Calls[cn], CallSite{Caller: fn, Call: call})
-			}
-		}
-	}
-	cg.End()
-	if reg := b.Obs.Reg(); reg != nil {
-		// Gauges, not counters: pool hit/miss (and therefore fresh-chunk)
-		// counts depend on goroutine scheduling, and the difftest matrix
-		// requires counters to be identical across worker counts. They
-		// cover the front end plus assembly: the artifact carries the front
-		// end's stats here.
-		reg.SetGauge("arena.bytes", float64(stats.Bytes.Load()))
-		reg.SetGauge("arena.chunks", float64(stats.Chunks.Load()))
-		reg.SetGauge("arena.reused", float64(stats.Reused.Load()))
-		reg.SetGauge("arena.released", float64(stats.Released.Load()))
-	}
 	return u
 }
 
@@ -505,13 +455,13 @@ func (u *Unit) FunctionNames() []string {
 	return names
 }
 
-// DefinedFunctions returns the functions that have bodies (and therefore
-// graphs and event streams), in sorted name order — the unit of work for the
-// facts layer and the checker engine. Prototypes are excluded.
+// DefinedFunctions returns the functions that have bodies, in sorted name
+// order — the unit of work for the facts layer and the checker engine.
+// Prototypes are excluded.
 func (u *Unit) DefinedFunctions() []*Function {
 	var out []*Function
 	for _, name := range u.FunctionNames() {
-		if fn := u.Functions[name]; fn.Graph != nil {
+		if fn := u.Functions[name]; fn.Def.Body != nil {
 			out = append(out, fn)
 		}
 	}

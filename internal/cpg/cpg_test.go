@@ -50,13 +50,14 @@ int foo_probe(struct foo_dev *d)
 	if u.Structs["foo_dev"] == nil {
 		t.Error("struct table missing foo_dev")
 	}
-	fn := u.Functions["foo_probe"]
-	if fn.Graph == nil || fn.Events == nil {
-		t.Error("analysis artifacts missing")
+	if fn := u.Functions["foo_probe"]; fn.File != "drivers/foo/a.c" || fn.Def.Body == nil {
+		t.Errorf("foo_probe = %+v, want a definition from drivers/foo/a.c", fn)
 	}
-	sites := u.Calls["helper"]
-	if len(sites) != 1 || sites[0].Caller.Def.Name != "foo_probe" {
-		t.Errorf("call sites = %+v", sites)
+	if got := len(u.DefinedFunctions()); got != 2 {
+		t.Errorf("DefinedFunctions = %d, want 2", got)
+	}
+	if u.Arena == nil || u.Arena.Chunks.Load() == 0 {
+		t.Error("unit does not carry the front end's arena stats")
 	}
 }
 
@@ -77,19 +78,10 @@ void user(struct foo_dev *d)
 	if len(u.DiscoveredAPIs) != 2 {
 		t.Errorf("discovered APIs = %v", u.DiscoveredAPIs)
 	}
-	// Events in `user` must classify foo_get as Inc (DB extended before
-	// extraction).
-	fn := u.Functions["user"]
-	found := false
-	for _, evs := range fn.Events.ByBlok {
-		for _, ev := range evs {
-			if ev.API == "foo_get" && ev.Op.String() == "G" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("discovered API not reflected in events")
+	// The unit carries the extended DB to the facts layer, which classifies
+	// foo_get as Inc in `user` (pinned by facts' TestDiscoveredAPIInFacts).
+	if a := u.DB.Lookup("foo_get"); a == nil || a.Op != apidb.OpInc {
+		t.Errorf("unit DB entry for foo_get = %+v, want an Inc API", a)
 	}
 }
 
@@ -118,8 +110,8 @@ int walk(struct device_node *parent)
 	if u.Macros["for_each_child_of_node"] == nil {
 		t.Error("macro from header missing")
 	}
-	if u.Functions["walk"].Graph == nil {
-		t.Error("walk not analyzed")
+	if fn := u.Functions["walk"]; fn == nil || fn.Def.Body == nil {
+		t.Error("walk not defined")
 	}
 }
 
@@ -195,7 +187,7 @@ func TestParseErrorsSurfaced(t *testing.T) {
 }
 
 // TestParallelMatchesSequential builds the same sources with one worker and
-// with many; every analysis artifact must agree.
+// with many; every unit table must agree.
 func TestParallelMatchesSequential(t *testing.T) {
 	srcs := []Source{
 		{Path: "a.c", Content: `
@@ -220,31 +212,12 @@ int b_probe(void)
 	if len(seq.Functions) != len(par.Functions) {
 		t.Fatalf("function counts differ")
 	}
+	// CFG and event equality across worker counts is pinned at the facts
+	// level (facts' TestParallelFactsMatchSequential).
 	for name, sf := range seq.Functions {
 		pf := par.Functions[name]
-		if (sf.Graph == nil) != (pf.Graph == nil) {
-			t.Fatalf("%s: graph presence differs", name)
-		}
-		if sf.Graph == nil {
-			continue
-		}
-		if len(sf.Graph.Blocks) != len(pf.Graph.Blocks) {
-			t.Errorf("%s: block counts differ", name)
-		}
-		sevs, pevs := 0, 0
-		for _, b := range sf.Graph.Blocks {
-			sevs += len(sf.Events.ByBlok[b])
-		}
-		for _, b := range pf.Graph.Blocks {
-			pevs += len(pf.Events.ByBlok[b])
-		}
-		if sevs != pevs {
-			t.Errorf("%s: event counts differ (%d vs %d)", name, sevs, pevs)
-		}
-	}
-	for name := range seq.Calls {
-		if len(seq.Calls[name]) != len(par.Calls[name]) {
-			t.Errorf("call sites for %s differ", name)
+		if pf == nil || sf.File != pf.File || (sf.Def.Body == nil) != (pf.Def.Body == nil) {
+			t.Errorf("%s: function differs between worker counts", name)
 		}
 	}
 	// Phase 1 is sharded too: merged declarations, macros, and errors must

@@ -9,10 +9,14 @@
 // engine gets exactly-once semantics at any worker count) and hands the same
 // immutable FunctionFacts value to every checker.
 //
-// The data portion (Data) is fully self-contained: CFG block pointers are
-// stripped and branch directions and error-block reachability are resolved
-// at compute time, so no consumer needs the CFG to read it. Checkers must
-// treat every slice and map reachable from FunctionFacts as read-only.
+// The function's CFG and semantic event stream are transients of that one
+// computation: UnitFacts builds them inside the memo, derives Data, and
+// drops them, so their slab chunks die with the computation instead of
+// living as long as the unit. Data is therefore fully self-contained: CFG
+// block pointers are stripped and branch directions and error-block
+// reachability are resolved at compute time, so no consumer needs the CFG
+// to read it. Checkers must treat every slice and map reachable from
+// FunctionFacts as read-only.
 package facts
 
 import (
@@ -20,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cast"
+	"repro/internal/cfg"
 	"repro/internal/cpg"
 	"repro/internal/obs"
 	"repro/internal/semantics"
@@ -178,11 +183,19 @@ type UnitFacts struct {
 	names    []string
 	slots    map[string]*slot
 	computes atomic.Int64
+	// ext extracts events against the unit's final DB; it is read-only, so
+	// every worker shares it.
+	ext *semantics.Extractor
 }
 
 // NewUnit prepares (but does not compute) facts for every defined function.
 func NewUnit(u *cpg.Unit) *UnitFacts {
-	uf := &UnitFacts{Unit: u, slots: map[string]*slot{}}
+	globals := make(map[string]bool, len(u.Globals))
+	for name := range u.Globals {
+		globals[name] = true
+	}
+	uf := &UnitFacts{Unit: u, slots: map[string]*slot{},
+		ext: &semantics.Extractor{DB: u.DB, GlobalNames: globals}}
 	for _, fn := range u.DefinedFunctions() {
 		uf.names = append(uf.names, fn.Def.Name)
 		uf.slots[fn.Def.Name] = &slot{}
@@ -195,7 +208,9 @@ func NewUnit(u *cpg.Unit) *UnitFacts {
 func (uf *UnitFacts) FunctionNames() []string { return uf.names }
 
 // Function returns the named function's facts, computing them on first use.
-// It returns nil for prototypes and unknown names.
+// It returns nil for prototypes and unknown names. The computation builds
+// the function's CFG and event stream, derives Data from them and lets them
+// go: only Data and VarTypes outlive the call.
 func (uf *UnitFacts) Function(name string) *FunctionFacts {
 	s := uf.slots[name]
 	if s == nil {
@@ -204,10 +219,11 @@ func (uf *UnitFacts) Function(name string) *FunctionFacts {
 	s.once.Do(func() {
 		fn := uf.Unit.Functions[name]
 		uf.computes.Add(1)
+		g := cfg.BuildArena(fn.Def, uf.Unit.Arena)
 		s.ff = &FunctionFacts{
 			Unit:     uf.Unit,
 			Fn:       fn,
-			Data:     computeData(fn),
+			Data:     computeData(g, uf.ext.Extract(g)),
 			VarTypes: varTypes(fn),
 		}
 	})
@@ -220,11 +236,23 @@ func (uf *UnitFacts) Function(name string) *FunctionFacts {
 func (uf *UnitFacts) Computes() int64 { return uf.computes.Load() }
 
 // Observe records the facts layer's work into reg: facts.computed counts
-// functions whose facts were derived from the CPG this run. Call after
-// checking completes; the total is deterministic at any worker count
-// because the memoization is exactly-once.
+// functions whose facts were derived from the CPG this run, and the arena.*
+// gauges report the build's allocator totals — the front end's plus the CFG
+// slabs built here. Call after checking completes; the counter is
+// deterministic at any worker count because the memoization is exactly-once.
 func (uf *UnitFacts) Observe(reg *obs.Registry) {
 	reg.Add("facts.computed", uf.computes.Load())
+	st := uf.Unit.Arena
+	if reg == nil || st == nil {
+		return
+	}
+	// Gauges, not counters: pool hit/miss (and therefore fresh-chunk) counts
+	// depend on goroutine scheduling, and the difftest matrix requires
+	// counters to be identical across worker counts.
+	reg.SetGauge("arena.bytes", float64(st.Bytes.Load()))
+	reg.SetGauge("arena.chunks", float64(st.Chunks.Load()))
+	reg.SetGauge("arena.reused", float64(st.Reused.Load()))
+	reg.SetGauge("arena.released", float64(st.Released.Load()))
 }
 
 // SmartLoop is FunctionFacts.SmartLoop for unit-scoped checkers.
@@ -232,14 +260,14 @@ func (uf *UnitFacts) SmartLoop(ev semantics.Event) bool {
 	return ev.FromMacro != "" && uf.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
-// computeData derives one function's Data. The trace
-// flattening mirrors the engine's historical per-checker walk exactly: for
+// computeData derives one function's Data from its CFG and event stream.
+// The trace flattening mirrors the engine's historical per-checker walk exactly: for
 // each path, events in block order with their path positions, branch
 // directions resolved against the successor actually taken, and error-block
 // reachability precomputed as a suffix scan.
-func computeData(fn *cpg.Function) *Data {
+func computeData(g *cfg.Graph, evs *semantics.FuncEvents) *Data {
 	d := &Data{}
-	paths := fn.Graph.Paths(0)
+	paths := g.Paths(0)
 	d.Traces = make([]Trace, 0, len(paths))
 	// The traces' parallel slices are carved as capacity-bounded windows out
 	// of four function-lifetime backing arrays, so the whole flattening costs
@@ -247,13 +275,13 @@ func computeData(fn *cpg.Function) *Data {
 	grand, errLen := 0, 0
 	for _, p := range paths {
 		for _, b := range p {
-			grand += len(fn.Events.ByBlok[b])
+			grand += len(evs.ByBlok[b])
 		}
 		errLen += len(p) + 1
 	}
 	total, nDec, nEsc := 0, 0, 0
-	for _, b := range fn.Graph.Blocks {
-		evs := fn.Events.ByBlok[b]
+	for _, b := range g.Blocks {
+		evs := evs.ByBlok[b]
 		total += len(evs)
 		for i := range evs {
 			switch {
@@ -289,7 +317,7 @@ func computeData(fn *cpg.Function) *Data {
 		tr := Trace{}
 		start := len(evBack)
 		for bi, b := range p {
-			for _, ev := range fn.Events.ByBlok[b] {
+			for _, ev := range evs.ByBlok[b] {
 				br := TookUnknown
 				if bi+1 < len(p) {
 					switch semantics.BranchTaken(ev, p[bi+1]) {
@@ -318,8 +346,8 @@ func computeData(fn *cpg.Function) *Data {
 		d.Traces = append(d.Traces, tr)
 	}
 	allStart := len(evBack)
-	for _, b := range fn.Graph.Blocks {
-		for _, ev := range fn.Events.ByBlok[b] {
+	for _, b := range g.Blocks {
+		for _, ev := range evs.ByBlok[b] {
 			ev.Block = nil
 			i := int32(len(evBack) - allStart)
 			switch {
