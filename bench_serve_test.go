@@ -16,8 +16,8 @@ import (
 // real HTTP round trip: JSON decode, admission, core.Analyze against the
 // shared tiered cache, CLI-identical rendering, JSON encode. The warm row
 // is the daemon's steady state — every request is an L1 unit hit — so its
-// reqs/s metric is the serving-throughput headline tracked in
-// BENCH_pipeline.json.
+// reqs/s metric is the serving-throughput headline; perfbench's serve-mix
+// workload measures the same path against a real refcheckd.
 func BenchmarkServeHTTP(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		cache, err := analysiscache.Open(b.TempDir())

@@ -344,10 +344,9 @@ func BenchmarkCheckerPipeline(b *testing.B) {
 
 // BenchmarkPipelineParallel sweeps the Workers knob over the full pipeline —
 // sharded preprocess+parse, CPG assembly, nine checkers, batched refsim
-// confirmation — so the perf trajectory of the parallel path is tracked
-// release over release (scripts/bench_pipeline.sh emits BENCH_pipeline.json
-// from this benchmark). Output is byte-identical at every worker count; only
-// wall time may differ.
+// confirmation — so the cost of the parallel path can be compared across
+// worker counts. Output is byte-identical at every worker count; only wall
+// time may differ.
 func BenchmarkPipelineParallel(b *testing.B) {
 	c, sources := kernelCorpus()
 	bytes := 0
@@ -386,8 +385,7 @@ func BenchmarkPipelineParallel(b *testing.B) {
 // in use sampled during the run. This is the number the streaming front end
 // bounds: tokens are released per translation unit as ASTs replace them, so
 // peak memory tracks per-TU working set plus ASTs, not whole-corpus token
-// streams. BENCH_pipeline.json records it so a regression back to
-// whole-corpus retention is loud.
+// streams, so a regression back to whole-corpus retention is loud.
 func BenchmarkPipelineLarge(b *testing.B) {
 	c := corpus.Generate(corpus.Spec{Seed: 1, Scale: 6})
 	sources := make([]cpg.Source, len(c.Files))
@@ -452,8 +450,7 @@ func BenchmarkPipelineLarge(b *testing.B) {
 // entries served straight from L1, no disk I/O and no decode); and
 // "concurrent-dedup" issues four identical requests at once against a cold
 // cache (single-flight: one computation, three runs served from the
-// leader's result). All report the unit-cache hit rate so
-// BENCH_pipeline.json tracks it across PRs.
+// leader's result). All report the unit-cache hit rate.
 func BenchmarkPipelineCache(b *testing.B) {
 	c, sources := kernelCorpus()
 	bytes := 0
@@ -599,8 +596,8 @@ func BenchmarkPipelineCache(b *testing.B) {
 // no-op), "on" runs with a live trace recording every span and counter in
 // the catalog. The PR-5 budget is <5% overhead for "off" relative to the
 // pre-obs pipeline and the on/off gap stays small because span creation is
-// per-TU/per-function, not per-token. scripts/bench_pipeline.sh records both
-// in BENCH_pipeline.json so the tax is tracked release over release.
+// per-TU/per-function, not per-token. perfbench's trace.overhead_ratio row
+// tracks the same tax on the real binary.
 func BenchmarkPipelineObs(b *testing.B) {
 	c, sources := kernelCorpus()
 	bytes := 0
@@ -641,8 +638,6 @@ func BenchmarkPipelineObs(b *testing.B) {
 // queries alone — the work every checker after the first pays on a function
 // whose facts another checker already computed. The gap between the two is
 // the cost the shared facts layer computes exactly once.
-// scripts/bench_pipeline.sh records both in BENCH_pipeline.json as the
-// checker-phase timing.
 func BenchmarkCheckerPhase(b *testing.B) {
 	ctx := context.Background()
 	unit := analyzeCorpus(0).Unit

@@ -13,7 +13,8 @@
 // directories whenever a source file changes (mtime polling), reusing the
 // warm tiered cache so an edit loop costs one file's recompute. -worker
 // turns the process into a shard-analysis worker speaking the
-// refcheck-manager pipe protocol on stdin/stdout (see cmd/refcheck-manager).
+// internal/manager pipe protocol on stdin/stdout; the benchmark's
+// multi-process row spawns it.
 package main
 
 import (
@@ -54,8 +55,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after analysis) to this file")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the lifetime of the run")
-	workerMode := flag.Bool("worker", false, "run as a refcheck-manager analysis worker on stdin/stdout")
-	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth shard (recovery-gate fault injection)")
+	workerMode := flag.Bool("worker", false, "run as a multi-process analysis worker on stdin/stdout (internal/manager pipe protocol)")
 	watchMode := flag.Bool("watch", false, "poll DIR... for changes and re-analyze on edit (pairs with -cache for incremental runs)")
 	watchInterval := flag.Duration("watch-interval", time.Second, "with -watch: polling interval")
 	watchRuns := flag.Int("watch-runs", 0, "with -watch: exit after N analysis runs (0 = run until interrupted)")
@@ -63,7 +63,7 @@ func main() {
 	flag.Parse()
 
 	if *workerMode {
-		err := manager.Worker(os.Stdin, os.Stdout, manager.WorkerOpts{ExitAfterShards: *workerExitAfter})
+		err := manager.Worker(os.Stdin, os.Stdout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "refcheck: worker: %v\n", err)
 			os.Exit(1)

@@ -100,7 +100,7 @@ int f(void)
 	}
 	return 0;
 }`, "f")
-	if !Reachable(g.Entry)[g.Exit] {
+	if !reachable(g.Entry)[g.Exit] {
 		t.Fatal("exit unreachable through break")
 	}
 }

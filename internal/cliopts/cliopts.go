@@ -1,9 +1,9 @@
 // Package cliopts is the single definition of the flag surface shared by the
-// analysis binaries (refcheck, refcheckd, refcheck-manager, reproduce,
-// refgen). Each binary registers the subset it supports via a Set mask, so
-// -workers / -checkers / -cache / -cache-mem / -stats-json / -trace-out are
-// defined once — same names, same help text, same semantics everywhere — and
-// the mapping onto core.Options / core.Request lives in one place.
+// analysis binaries (refcheck, refcheckd, reproduce, refgen). Each binary
+// registers the subset it supports via a Set mask, so -workers / -checkers /
+// -cache / -cache-mem / -stats-json / -trace-out are defined once — same
+// names, same help text, same semantics everywhere — and the mapping onto
+// core.Options / core.Request lives in one place.
 package cliopts
 
 import (

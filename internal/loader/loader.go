@@ -33,10 +33,11 @@ func LoadDirs(roots ...string) (*Tree, error) {
 			if ext != ".c" && ext != ".h" {
 				return nil
 			}
-			content, rerr := readFileString(path)
+			data, rerr := os.ReadFile(path)
 			if rerr != nil {
 				return rerr
 			}
+			content := string(data)
 			rel := path
 			if r, e := filepath.Rel(root, path); e == nil && !strings.HasPrefix(r, "..") {
 				rel = filepath.ToSlash(r)

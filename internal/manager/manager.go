@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"sync"
 
-	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/core"
 	"repro/internal/cpg"
@@ -17,7 +16,7 @@ import (
 // Config configures a multi-process run.
 type Config struct {
 	// Procs is the number of worker processes to drive (default 1). The
-	// corpus is partitioned into Procs*ChunksPerProc shards so a slow or
+	// corpus is partitioned into Procs*chunksPerProc shards so a slow or
 	// dead worker only strands a fraction of the work.
 	Procs int
 	// WorkerCmd is the argv used to spawn each worker; the spawned process
@@ -27,29 +26,13 @@ type Config struct {
 	// WorkerCmdFor, when non-nil, overrides WorkerCmd per worker slot —
 	// the crash-recovery tests use it to give one slot a dying worker.
 	WorkerCmdFor func(slot int) []string
-	// Workers is the per-process build parallelism sent in the init frame
-	// (0 means GOMAXPROCS in the worker).
-	Workers int
-	// CacheDir/CacheMem, when CacheDir is non-empty, are forwarded to every
-	// worker's init frame: each worker opens its own handle on the shared
-	// tiered cache and serves per-file front-end entries from it (hits are
-	// aggregated as manager.frontend.hit / manager.frontend.miss). The
-	// global pass still always computes — unit- and facts-level caching
-	// remain single-process concerns.
-	CacheDir string
-	CacheMem int
-	// Options configures the manager-side global pass (checkers, confirm,
-	// workers). Options.DB is overwritten with the exchange DB; Cache and
-	// Admit are ignored on the global pass (use CacheDir for the workers'
-	// front-end cache).
-	Options core.Options
 	// Trace receives manager spans and counters (manager.worker.deaths,
-	// manager.shard.requeues, manager.shard.inline, manager.frontend.hit,
-	// manager.frontend.miss); nil disables.
+	// manager.shard.requeues, manager.shard.inline); nil disables.
 	Trace *obs.Trace
-	// ChunksPerProc is the work-queue granularity multiplier (default 4).
-	ChunksPerProc int
 }
+
+// chunksPerProc is the work-queue granularity multiplier.
+const chunksPerProc = 4
 
 // queue is the manager's shard work queue. Shards are handed out in index
 // order; a shard lost to a worker death is pushed back and handed to
@@ -87,7 +70,8 @@ func (q *queue) remaining() []int {
 
 // Run drives sources through the partition-then-exchange pipeline across
 // cfg.Procs worker processes and returns the same Run that core.Analyze
-// would produce for the whole corpus — byte-identical reports and summary at
+// with default options (every checker, no confirmation, no cache) would
+// produce for the whole corpus — byte-identical reports and summary at
 // any process count, with any workers dying mid-shard, because shard
 // artifacts are merged back into global order before a single exchange
 // (see core.Exchange).
@@ -102,10 +86,6 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	if procs < 1 {
 		procs = 1
 	}
-	chunks := cfg.ChunksPerProc
-	if chunks < 1 {
-		chunks = 4
-	}
 	cmdFor := cfg.WorkerCmdFor
 	if cmdFor == nil {
 		if len(cfg.WorkerCmd) == 0 {
@@ -114,7 +94,7 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 		cmdFor = func(int) []string { return cfg.WorkerCmd }
 	}
 
-	shards := core.Partition(sources, procs*chunks)
+	shards := core.Partition(sources, procs*chunksPerProc)
 	reg := cfg.Trace.Reg()
 	sp := cfg.Trace.Root().Child("phase:manager")
 	sp.Int("procs", procs)
@@ -126,17 +106,14 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	}
 	arts := make([]*cpg.ShardArtifact, len(shards))
 	var artsMu sync.Mutex
-	initFrame := encodeInit(initMsg{
-		Workers: cfg.Workers, CacheDir: cfg.CacheDir, CacheMem: cfg.CacheMem,
-		Headers: headers,
-	})
+	initFrame := encodeInit(initMsg{Headers: headers})
 
 	var wg sync.WaitGroup
 	for slot := 0; slot < procs; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			runSlot(ctx, cmdFor(slot), initFrame, cfg.Workers, q, shards, arts, &artsMu, reg)
+			runSlot(ctx, cmdFor(slot), initFrame, q, shards, arts, &artsMu, reg)
 		}(slot)
 	}
 	wg.Wait()
@@ -146,18 +123,9 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	}
 
 	// Worker-of-last-resort: anything still queued (all assigned workers
-	// died, or there were more shards than worker appetite) runs inline,
-	// against the same shared cache directory the workers use.
+	// died, or there were more shards than worker appetite) runs inline.
 	if rest := q.remaining(); len(rest) > 0 {
-		inlineOpt := core.Options{Workers: cfg.Workers}
-		if cfg.CacheDir != "" {
-			if c, err := analysiscache.Open(cfg.CacheDir, analysiscache.WithMemory(int64(cfg.CacheMem)<<20)); err == nil {
-				inlineOpt.Cache = c
-				defer c.Close()
-			}
-		}
-		req := core.Request{Sources: sources, Headers: headers,
-			Options: inlineOpt, Trace: cfg.Trace}
+		req := core.Request{Sources: sources, Headers: headers, Trace: cfg.Trace}
 		for _, id := range rest {
 			art, err := core.LocalPassInProcess(ctx, req, shards[id])
 			if err != nil {
@@ -174,11 +142,7 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	xsp := cfg.Trace.Root().Child("phase:exchange")
 	merged, disc := core.Exchange(db, arts)
 	xsp.Int("structs", len(disc.Structs)).Int("apis", len(disc.APIs)).Int("loops", len(disc.Loops)).End()
-	opt := cfg.Options
-	opt.DB = db
-	opt.Cache = nil
-	opt.Admit = nil
-	greq := core.Request{Sources: sources, Headers: headers, Options: opt, Trace: cfg.Trace}
+	greq := core.Request{Sources: sources, Headers: headers, Options: core.Options{DB: db}, Trace: cfg.Trace}
 	return core.GlobalPass(ctx, greq, merged, disc)
 }
 
@@ -186,7 +150,7 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 // until the queue drains or the worker dies. On death the in-flight shard is
 // re-queued and the slot exits — surviving slots (or the inline drain)
 // absorb the remaining work.
-func runSlot(ctx context.Context, argv []string, initFrame []byte, workers int, q *queue,
+func runSlot(ctx context.Context, argv []string, initFrame []byte, q *queue,
 	shards [][]cpg.Source, arts []*cpg.ShardArtifact, artsMu *sync.Mutex, reg *obs.Registry) {
 
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
@@ -244,12 +208,10 @@ func runSlot(ctx context.Context, argv []string, initFrame []byte, workers int, 
 			died(id)
 			return
 		}
-		reg.Add("manager.frontend.hit", int64(msg.FEHits))
-		reg.Add("manager.frontend.miss", int64(msg.FEMisses))
 		// Parse the shard's files as soon as the artifact lands and drop
 		// their token streams: memory then scales with AST size per shard,
 		// not with the whole corpus's retained token streams.
-		art.Hydrate(ctx, workers, nil)
+		art.Hydrate(ctx, 0, nil)
 		artsMu.Lock()
 		arts[id] = art
 		artsMu.Unlock()

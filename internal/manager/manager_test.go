@@ -16,17 +16,18 @@ import (
 
 // TestMain doubles as the worker executable: when the manager re-executes
 // the test binary with the "repro-worker" argv, the shim runs the worker
-// loop instead of the test suite — no separately built binary needed. The
-// "die=1" argument arms the crash-injection hook for the recovery tests.
+// loop instead of the test suite — no separately built binary needed. With
+// the "die=1" argument the shim instead reads the init frame and one shard,
+// then exits before replying: a real process death mid-shard for the
+// recovery tests.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "repro-worker" {
-		opts := WorkerOpts{}
-		for _, a := range os.Args[2:] {
-			if a == "die=1" {
-				opts.ExitAfterShards = 1
-			}
+		if len(os.Args) > 2 && os.Args[2] == "die=1" {
+			readFrame(os.Stdin)
+			readFrame(os.Stdin)
+			os.Exit(3)
 		}
-		if err := Worker(os.Stdin, os.Stdout, opts); err != nil {
+		if err := Worker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -67,7 +68,7 @@ func managerCorpus() ([]cpg.Source, map[string]string) {
 	return srcs, c.Headers
 }
 
-// renderOut renders a run exactly as the refcheck/refcheck-manager CLIs do,
+// renderOut renders a run exactly as the refcheck CLI does,
 // so equality here is byte-identity of what the user sees.
 func renderOut(run *core.Run) string {
 	var b bytes.Buffer
@@ -80,7 +81,7 @@ func analyzeRef(t *testing.T, srcs []cpg.Source, headers map[string]string) stri
 	t.Helper()
 	run, err := core.Analyze(context.Background(), core.Request{
 		Sources: srcs, Headers: headers,
-		Options: core.Options{Workers: 2, Confirm: true},
+		Options: core.Options{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +104,6 @@ func TestManagerMatchesAnalyze(t *testing.T) {
 		run, err := Run(context.Background(), Config{
 			Procs:     procs,
 			WorkerCmd: workerArgv(),
-			Workers:   2,
-			Options:   core.Options{Workers: 2, Confirm: true},
 			Trace:     tr,
 		}, srcs, headers)
 		if err != nil {
@@ -137,9 +136,7 @@ func TestWorkerDeathRecovery(t *testing.T) {
 			}
 			return workerArgv()
 		},
-		Workers: 2,
-		Options: core.Options{Workers: 2, Confirm: true},
-		Trace:   tr,
+		Trace: tr,
 	}, srcs, headers)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +164,6 @@ func TestAllWorkersDieInlineDrain(t *testing.T) {
 	run, err := Run(context.Background(), Config{
 		Procs:     2,
 		WorkerCmd: workerArgv("die=1"),
-		Workers:   2,
-		Options:   core.Options{Workers: 2, Confirm: true},
 		Trace:     tr,
 	}, srcs, headers)
 	if err != nil {
@@ -190,51 +185,5 @@ func TestAllWorkersDieInlineDrain(t *testing.T) {
 func TestManagerNoWorkerCommand(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}, nil, nil); err == nil {
 		t.Fatal("expected an error with no worker command")
-	}
-}
-
-// TestManagerFrontendCache un-disables -cache on the manager path: two runs
-// sharing a cache directory at shards >= 2 must aggregate worker front-end
-// hits on the second run (manager.frontend.hit > 0) while staying
-// byte-identical to the uncached single-process reference.
-func TestManagerFrontendCache(t *testing.T) {
-	srcs, headers := managerCorpus()
-	want := analyzeRef(t, srcs, headers)
-	cacheDir := t.TempDir()
-
-	runOnce := func(label string) (string, map[string]int64) {
-		t.Helper()
-		tr := obs.New("manager-cache-test")
-		run, err := Run(context.Background(), Config{
-			Procs:     2,
-			WorkerCmd: workerArgv(),
-			Workers:   2,
-			CacheDir:  cacheDir,
-			CacheMem:  16,
-			Options:   core.Options{Workers: 2, Confirm: true},
-			Trace:     tr,
-		}, srcs, headers)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return renderOut(run), tr.Reg().Snapshot().Counters
-	}
-
-	cold, coldStats := runOnce("cold")
-	if cold != want {
-		t.Error("cold cached run differs from single-process Analyze")
-	}
-	if coldStats["manager.frontend.miss"] == 0 {
-		t.Error("cold run reported no front-end misses — workers not using the cache?")
-	}
-
-	warm, warmStats := runOnce("warm")
-	if warm != want {
-		t.Error("warm cached run differs from single-process Analyze")
-	}
-	if hits := warmStats["manager.frontend.hit"]; hits == 0 {
-		t.Error("warm run aggregated no front-end hits across workers")
-	} else if misses := warmStats["manager.frontend.miss"]; misses != 0 {
-		t.Errorf("warm run still missed %d files (hits=%d)", misses, hits)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // read/decode failure as a worker death (re-queue and move on), so protocol
 // errors and crashes share one recovery path.
 const (
-	kInit     = 1 // manager→worker: workers knob + shared header map
+	kInit     = 1 // manager→worker: shared header map
 	kShard    = 2 // manager→worker: shard id + sources
 	kArtifact = 3 // worker→manager: shard id + encoded ShardArtifact
 )
@@ -66,23 +66,12 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 type initMsg struct {
-	Workers int
-	// CacheDir/CacheMem, when CacheDir is non-empty, tell the worker to
-	// open its own handle on the shared tiered cache so per-file front-end
-	// entries are reused across shards and runs. Every worker (and the
-	// manager, for the inline drain) opens the same directory; the cache's
-	// pack-file layout is multi-process safe.
-	CacheDir string
-	CacheMem int
-	Headers  map[string]string
+	Headers map[string]string
 }
 
 func encodeInit(m initMsg) []byte {
 	w := bincodec.NewWriter(64)
 	w.U8(kInit)
-	w.U32(uint32(m.Workers))
-	w.String(m.CacheDir)
-	w.U32(uint32(m.CacheMem))
 	keys := make([]string, 0, len(m.Headers))
 	for k := range m.Headers {
 		keys = append(keys, k)
@@ -102,9 +91,7 @@ func decodeInit(b []byte) (initMsg, error) {
 		r.Fail()
 		return initMsg{}, r.Err()
 	}
-	m := initMsg{Workers: int(r.U32())}
-	m.CacheDir = r.String()
-	m.CacheMem = int(r.U32())
+	var m initMsg
 	n := r.Count()
 	if n > 0 {
 		m.Headers = make(map[string]string, n)
@@ -158,25 +145,18 @@ func decodeShard(b []byte) (shardMsg, error) {
 }
 
 type artifactMsg struct {
-	ID int
-	// FEHits/FEMisses report the worker's front-end cache counters for this
-	// shard, so the manager can aggregate cross-process cache effectiveness
-	// (surfaced as manager.frontend.hit / manager.frontend.miss).
-	FEHits   uint64
-	FEMisses uint64
-	Payload  []byte // EncodeShardArtifact bytes, decoded lazily by the manager
+	ID      int
+	Payload []byte // EncodeShardArtifact bytes, decoded lazily by the manager
 }
 
-// artifactHdrLen is the fixed prefix before the artifact payload: kind byte,
-// shard id, and the two front-end counters.
-const artifactHdrLen = 1 + 4 + 8 + 8
+// artifactHdrLen is the fixed prefix before the artifact payload: kind byte
+// and shard id.
+const artifactHdrLen = 1 + 4
 
 func encodeArtifact(m artifactMsg) []byte {
 	w := bincodec.NewWriter(artifactHdrLen + len(m.Payload))
 	w.U8(kArtifact)
 	w.U32(uint32(m.ID))
-	w.U64(m.FEHits)
-	w.U64(m.FEMisses)
 	w.Raw(m.Payload)
 	return w.Bytes()
 }
@@ -188,8 +168,6 @@ func decodeArtifact(b []byte) (artifactMsg, error) {
 		return artifactMsg{}, r.Err()
 	}
 	m := artifactMsg{ID: int(r.U32())}
-	m.FEHits = r.U64()
-	m.FEMisses = r.U64()
 	if r.Err() != nil {
 		return artifactMsg{}, r.Err()
 	}

@@ -49,8 +49,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestInitMsgRoundTrip(t *testing.T) {
 	for _, m := range []initMsg{
-		{Workers: 4, Headers: map[string]string{"a.h": "x", "b.h": "y"}},
-		{Workers: 0},
+		{Headers: map[string]string{"a.h": "x", "b.h": "y"}},
+		{},
 	} {
 		got, err := decodeInit(encodeInit(m))
 		if err != nil {

@@ -4,32 +4,17 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
-	"repro/internal/analysiscache"
 	"repro/internal/core"
 	"repro/internal/cpg"
-	"repro/internal/obs"
 )
-
-// WorkerOpts configures a worker loop.
-type WorkerOpts struct {
-	// ExitAfterShards, when positive, makes the worker call os.Exit(3)
-	// immediately after receiving its Nth shard — before replying — so its
-	// in-flight shard is lost mid-work. It is the crash-injection hook the
-	// recovery tests (and verify gate) use to exercise the manager's
-	// re-queue path with a real process death.
-	ExitAfterShards int
-}
 
 // Worker runs the worker half of the pipe protocol until r reaches EOF: read
 // the init frame, then serve shard→artifact exchanges in lockstep. Workers
-// hold no state between shards beyond the shared header map, the front-end's
-// internal caches, and (when the init frame names a cache directory) a handle
-// on the shared tiered cache — so the manager may hand any shard to any
-// worker in any order, and per-file front-end entries computed by one run's
-// workers are reused by the next run's.
-func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
+// hold no state between shards beyond the shared header map and the front
+// end's internal caches, so the manager may hand any shard to any worker in
+// any order.
+func Worker(r io.Reader, w io.Writer) error {
 	first, err := readFrame(r)
 	if err != nil {
 		return fmt.Errorf("manager worker: reading init: %w", err)
@@ -38,26 +23,7 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	if err != nil {
 		return fmt.Errorf("manager worker: decoding init: %w", err)
 	}
-	var cache *analysiscache.Cache
-	if init.CacheDir != "" {
-		// A worker that cannot open the cache degrades to computing — the
-		// shard result is identical either way, so cache trouble must not
-		// kill the run.
-		if c, cerr := analysiscache.Open(init.CacheDir, analysiscache.WithMemory(int64(init.CacheMem)<<20)); cerr == nil {
-			cache = c
-		} else {
-			fmt.Fprintf(os.Stderr, "manager worker: cache disabled: %v\n", cerr)
-		}
-	}
-	defer func() {
-		if cache != nil {
-			if cerr := cache.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "manager worker: cache flush: %v\n", cerr)
-			}
-		}
-	}()
-
-	received := 0
+	req := core.Request{Headers: init.Headers}
 	for {
 		frame, err := readFrame(r)
 		if err == io.EOF {
@@ -70,30 +36,11 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 		if err != nil {
 			return fmt.Errorf("manager worker: decoding shard: %w", err)
 		}
-		received++
-		if opts.ExitAfterShards > 0 && received == opts.ExitAfterShards {
-			os.Exit(3)
-		}
-		// A fresh trace per shard isolates the front-end counters this
-		// shard contributes, so the reply can carry exact hit/miss deltas.
-		tr := obs.New("manager-worker")
-		req := core.Request{
-			Headers: init.Headers,
-			Options: core.Options{Workers: init.Workers, Cache: cache},
-			Trace:   tr,
-		}
 		art, err := core.LocalPass(context.Background(), req, sh.Sources)
 		if err != nil {
 			return fmt.Errorf("manager worker: shard %d: %w", sh.ID, err)
 		}
-		tr.Done()
-		counters := tr.Reg().Snapshot().Counters
-		reply := encodeArtifact(artifactMsg{
-			ID:       sh.ID,
-			FEHits:   uint64(counters["frontend.cache.hit"]),
-			FEMisses: uint64(counters["frontend.cache.miss"]),
-			Payload:  cpg.EncodeShardArtifact(art),
-		})
+		reply := encodeArtifact(artifactMsg{ID: sh.ID, Payload: cpg.EncodeShardArtifact(art)})
 		if err := writeFrame(w, reply); err != nil {
 			return fmt.Errorf("manager worker: writing artifact %d: %w", sh.ID, err)
 		}

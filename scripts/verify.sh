@@ -98,36 +98,6 @@ if [ "$drain_status" -ne 0 ]; then
     exit 1
 fi
 
-# Multi-process manager gate: refcheck-manager must render the demo corpus
-# byte-identically to the single-process CLI at several shard counts, and
-# again with fault injection crashing one worker mid-shard (the manager
-# re-queues the lost work onto the survivors).
-go build -o "$tmp/refcheck-manager" ./cmd/refcheck-manager
-for n in 1 3; do
-    "$tmp/refcheck-manager" -shards "$n" -demo > "$tmp/mgr-$n.txt"
-    cmp -s "$tmp/uncached.txt" "$tmp/mgr-$n.txt" || {
-        echo "verify: refcheck-manager -shards $n differs from refcheck -demo" >&2
-        exit 1
-    }
-done
-"$tmp/refcheck-manager" -shards 3 -kill-worker-after 1 -demo > "$tmp/mgr-kill.txt"
-cmp -s "$tmp/uncached.txt" "$tmp/mgr-kill.txt" || {
-    echo "verify: refcheck-manager with a crashed worker differs from refcheck -demo" >&2
-    exit 1
-}
-
-# Manager front-end cache gate: with -cache, the workers share the tiered
-# cache's per-file front-end entries; a second run over the same corpus must
-# stay byte-identical to the uncached reference.
-"$tmp/refcheck-manager" -shards 3 -cache "$tmp/mcache" -demo > "$tmp/mgr-cold.txt"
-"$tmp/refcheck-manager" -shards 3 -cache "$tmp/mcache" -demo > "$tmp/mgr-warm.txt"
-for f in mgr-cold mgr-warm; do
-    cmp -s "$tmp/uncached.txt" "$tmp/$f.txt" || {
-        echo "verify: refcheck-manager -cache ($f) differs from refcheck -demo" >&2
-        exit 1
-    }
-done
-
 # Watch-mode gate: refgen a tree, take a cold reference run, then start
 # `refcheck -watch` with a warm cache and a 2-run budget, edit one file
 # between runs (EOF comment append — shifts no report lines), and require
