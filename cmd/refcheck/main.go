@@ -151,6 +151,8 @@ func main() {
 	start := time.Now()
 	run, err := core.Analyze(ctx, req)
 	elapsed := time.Since(start)
+	// Read before -memprofile forces its collection.
+	allocs := allocStats()
 	req.Trace.Done()
 	if err != nil {
 		switch {
@@ -194,9 +196,9 @@ func main() {
 	}
 
 	if opts.Verbose {
-		fmt.Fprintf(os.Stderr, "refcheck: analyzed %d files in %v (%.1f files/sec, workers=%d%s)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: analyzed %d files in %v (%.1f files/sec, workers=%d%s%s)\n",
 			len(req.Sources), elapsed.Round(time.Millisecond),
-			float64(len(req.Sources))/elapsed.Seconds(), opts.Workers, peakRSS())
+			float64(len(req.Sources))/elapsed.Seconds(), opts.Workers, peakRSS(), allocs)
 		if cache != nil {
 			printCacheStats(run, cache)
 		}

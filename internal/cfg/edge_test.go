@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cast"
@@ -161,5 +162,27 @@ int f(int err, int mode)
 	}
 	if errBlocks != 1 {
 		t.Errorf("error blocks = %d, want 1", errBlocks)
+	}
+}
+
+// TestPathsAllocationTracksPathLength pins that enumerating the paths of a
+// short function allocates bytes on the order of its path data, not a
+// fixed full-size chunk: a straight-line function's one three-block path
+// must cost well under the 8 KB that a 1,024-slot first chunk did.
+func TestPathsAllocationTracksPathLength(t *testing.T) {
+	g := buildFn(t, "int f(void) { a(); b(); return 0; }", "f")
+	if ps := g.Paths(0); len(ps) != 1 || len(ps[0]) > 4 {
+		t.Fatalf("straight-line function has paths %v, want one short path", ps)
+	}
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		g.Paths(0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 1024 {
+		t.Fatalf("Paths allocated %d bytes per call on a one-path function, want at most 1024", per)
 	}
 }

@@ -1,5 +1,7 @@
 package cfg
 
+import "repro/internal/arena"
+
 // Path is one entry-to-exit block sequence.
 type Path []*Block
 
@@ -20,7 +22,8 @@ func (g *Graph) Paths(max int) []Path {
 		g:      g,
 		max:    max,
 		visits: make([]int8, len(g.Blocks)),
-		cur:    make(Path, 0, 64),
+		// A block appears at most twice on a path.
+		cur: make(Path, 0, min(2*len(g.Blocks), 64)),
 	}
 	w.walk(g.Entry)
 	return w.out
@@ -33,17 +36,21 @@ type pathWalker struct {
 	visits []int8
 	cur    Path
 	// Completed paths are copied into chunked backing storage and returned
-	// as capacity-bounded windows of it — one allocation per ~1024 blocks
-	// of path data instead of one per path.
+	// as capacity-bounded windows of it. Chunks follow arena.ChunkLen's
+	// schedule (pathChunkFirst doubling to pathChunk blocks), so a function
+	// with a few short paths pays for a short chunk while one with
+	// thousands still costs one allocation per pathChunk blocks.
 	back Path
 }
 
+const (
+	pathChunkFirst = 16
+	pathChunk      = 1024
+)
+
 func (w *pathWalker) emit() {
 	if cap(w.back)-len(w.back) < len(w.cur) {
-		n := 1024
-		if len(w.cur) > n {
-			n = len(w.cur)
-		}
+		n := max(arena.ChunkLen(cap(w.back), pathChunkFirst, pathChunk), len(w.cur))
 		w.back = make(Path, 0, n)
 	}
 	start := len(w.back)

@@ -34,11 +34,22 @@ func (ln *Lines) Line(i int) []Token {
 // empty line. Stats accounting matches the Tokenize path: every lexed token
 // counts, including the discarded newlines.
 func TokenizeLines(file, src string, stats *Stats) (*Lines, []error) {
-	l := New(file, src, Config{KeepNewlines: true})
 	ln := &Lines{
 		Toks: make([]Token, 0, len(src)/6+8),
-		Off:  make([]int32, 1, len(src)/32+8),
+		Off:  make([]int32, 0, len(src)/32+8),
 	}
+	return ln, TokenizeLinesInto(file, src, stats, ln)
+}
+
+// TokenizeLinesInto is TokenizeLines writing into ln's existing storage:
+// ln.Toks and ln.Off are truncated and appended to, so a caller that
+// recycles them (the preprocessor pools a translation unit's own lines)
+// reuses their capacity. ln holds the result, including any regrown
+// buffers, when it returns.
+func TokenizeLinesInto(file, src string, stats *Stats, ln *Lines) []error {
+	l := New(file, src, Config{KeepNewlines: true})
+	ln.Toks = ln.Toks[:0]
+	ln.Off = append(ln.Off[:0], 0)
 	lexed := int64(0)
 	for {
 		t := l.Next()
@@ -59,5 +70,5 @@ func TokenizeLines(file, src string, stats *Stats) (*Lines, []error) {
 		stats.Tokens.Add(lexed)
 		stats.Errors.Add(int64(len(l.errs)))
 	}
-	return ln, l.errs
+	return l.errs
 }

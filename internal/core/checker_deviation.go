@@ -30,10 +30,12 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
 	var out []Report
 	reported := map[dedupKey]bool{}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
-		for i, ev := range evs {
+		idx := tr.Idx
+		for i, k := range idx {
+			ev := &all[k]
 			if ev.Op != semantics.OpInc || ev.Info == nil || !ev.Info.IncOnError {
 				continue
 			}
@@ -46,8 +48,8 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 			}
 			// Any balancing put later on the path forgives it.
 			balanced := false
-			for j := i + 1; j < len(evs); j++ {
-				if evs[j].Op == semantics.OpDec && decBalances(evs[j], ev) {
+			for j := i + 1; j < len(idx); j++ {
+				if dec := &all[idx[j]]; dec.Op == semantics.OpDec && decBalances(dec, ev) {
 					balanced = true
 					break
 				}
@@ -66,7 +68,7 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 				Object: ev.Obj, API: ev.API,
 				Message:    fmt.Sprintf("%s increments the refcount even on failure, but the error path returns without %s", ev.API, pair),
 				Suggestion: fmt.Sprintf("call %s(%s) in the error path before returning", pair, ev.Obj),
-				Witness:    evs,
+				witness:    traceRef{ff.Data, tr},
 			})
 		}
 	}
@@ -75,7 +77,7 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 
 // decBalances reports whether dec plausibly balances inc: same object key,
 // or the dec is the registered pair API of the inc.
-func decBalances(dec, inc semantics.Event) bool {
+func decBalances(dec, inc *semantics.Event) bool {
 	if sameObj(dec.Obj, inc.Obj) {
 		return true
 	}
@@ -118,11 +120,13 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 			}
 		}
 	}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
+		idx := tr.Idx
 		unchecked = unchecked[:0]
-		for i, ev := range evs {
+		for i, k := range idx {
+			ev := &all[k]
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Info != nil && ev.Info.MayReturnNull && ev.Obj != "" {
@@ -132,7 +136,7 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 				}
 			case semantics.OpCond:
 				// Which branch does this path take?
-				for _, name := range tr.BranchNonNull(i) {
+				for _, name := range tr.BranchNonNull(all, i) {
 					drop(name)
 				}
 			case semantics.OpAssign:
@@ -149,7 +153,7 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 				if srcIdx < 0 {
 					continue
 				}
-				src := evs[srcIdx]
+				src := &all[idx[srcIdx]]
 				key := dk(src.Pos, ev.Obj, "")
 				if reported[key] {
 					continue
@@ -161,7 +165,7 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: src.API,
 					Message:    fmt.Sprintf("%s may return NULL but %s is dereferenced without a check", src.API, ev.Obj),
 					Suggestion: fmt.Sprintf("if (!%s)\n\t\treturn -ENODEV;", ev.Obj),
-					Witness:    evs,
+					witness:    traceRef{ff.Data, tr},
 				})
 			}
 		}

@@ -33,9 +33,9 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 	db := ff.Unit.DB
 	var out []Report
 	reported := map[dedupKey]bool{}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
 		// balance per loop-injected object; loopOf remembers which macro and
 		// lastInc the most recent acquisition (innermost-loop attribution).
 		balance := map[string]int{}
@@ -43,12 +43,12 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 		lastInc := map[string]int{}
 		pathReported := map[string]bool{}
 		var lastEv *semantics.Event
-		for i := range evs {
-			ev := &evs[i]
+		for i, k := range tr.Idx {
+			ev := &all[k]
 			lastEv = ev
 			switch ev.Op {
 			case semantics.OpInc:
-				if ff.SmartLoop(*ev) && ev.Obj != "" {
+				if ff.SmartLoop(ev) && ev.Obj != "" {
 					balance[ev.Obj]++
 					loopOf[ev.Obj] = ev.FromMacro
 					lastInc[ev.Obj] = i
@@ -62,7 +62,7 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 			case semantics.OpCond:
 				// A smartloop exits when the iteration variable goes NULL:
 				// on the NULL branch nothing is held any more.
-				for _, name := range tr.BranchNull(i) {
+				for _, name := range tr.BranchNull(all, i) {
 					for obj := range balance {
 						if semantics.BaseOf(obj) == name {
 							balance[obj] = 0
@@ -105,7 +105,7 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: obj, API: macro,
 					Message:    fmt.Sprintf("break out of %s leaks the reference %s holds on %s", macro, macro, obj),
 					Suggestion: fmt.Sprintf("%s(%s); /* before the break */", put, obj),
-					Witness:    evs,
+					witness:    traceRef{ff.Data, tr},
 				})
 			}
 		}
@@ -134,7 +134,7 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 				Object: obj, API: macro,
 				Message:    fmt.Sprintf("premature exit from %s leaks the reference it holds on %s", macro, obj),
 				Suggestion: fmt.Sprintf("%s(%s); /* before leaving the loop */", put, obj),
-				Witness:    evs,
+				witness:    traceRef{ff.Data, tr},
 			})
 		}
 	}
@@ -176,10 +176,10 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 	// Whole-function decrement view: when the developer did pair the put
 	// somewhere, a put-free path is an overlooked *location* (P5), not an
 	// overlooked *API*.
-	fnDecs := ff.Decs()
-	pairedSomewhere := func(inc semantics.Event) bool {
-		for _, d := range fnDecs {
-			if decBalances(d, inc) {
+	all := ff.Data.All
+	pairedSomewhere := func(inc *semantics.Event) bool {
+		for _, di := range ff.Data.DecIdx {
+			if decBalances(&all[di], inc) {
 				return true
 			}
 		}
@@ -187,15 +187,15 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 	}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
 		type tracked struct {
-			ev      semantics.Event
+			ev      *semantics.Event
 			balance int
 			dead    bool // returned, escaped, or reassigned away
 		}
 		live := map[string]*tracked{}
-		var dropped []semantics.Event // refs discarded at the call site
-		for i, ev := range evs {
+		var dropped []*semantics.Event // refs discarded at the call site
+		for i, k := range tr.Idx {
+			ev := &all[k]
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Info == nil || !ev.Info.ReturnsRef || ev.Info.Class != apidb.Embedded {
@@ -227,7 +227,7 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 						Pattern: P4, Impact: Leak,
 						Function: fn.Def.Name, File: fn.File, Pos: ev.Pos,
 						Object: ev.Obj, API: ev.API,
-						Witness:  evs,
+						witness:  traceRef{ff.Data, tr},
 						Deferred: why,
 					}
 					// Candidates the deferral table is guaranteed to drop
@@ -247,7 +247,7 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 			case semantics.OpCond:
 				// The branch where the pointer is known NULL holds no
 				// reference — the find failed, nothing to put.
-				for _, name := range tr.BranchNull(i) {
+				for _, name := range tr.BranchNull(all, i) {
 					for obj, t := range live {
 						if semantics.BaseOf(obj) == name {
 							t.dead = true
@@ -293,7 +293,7 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 				Object: obj, API: t.ev.API,
 				Message:    fmt.Sprintf("%s returns a reference hidden in %s that is never put on this path", t.ev.API, obj),
 				Suggestion: fmt.Sprintf("%s(%s); /* before every exit on this path */", putNameFor(ff.Unit.DB, t.ev), obj),
-				Witness:    evs,
+				witness:    traceRef{ff.Data, tr},
 			})
 		}
 		for _, ev := range dropped {
@@ -308,7 +308,7 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 				Object: "", API: ev.API,
 				Message:    fmt.Sprintf("the reference returned by %s is discarded at the call site", ev.API),
 				Suggestion: fmt.Sprintf("capture the result and %s it when done", putNameFor(ff.Unit.DB, ev)),
-				Witness:    evs,
+				witness:    traceRef{ff.Data, tr},
 			})
 		}
 	}
@@ -321,10 +321,12 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
 	var out []Report
 	reported := map[dedupKey]bool{}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		got := map[string]bool{}
-		for _, ev := range evs {
+		for _, k := range tr.Idx {
+			ev := &all[k]
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Obj != "" {
@@ -350,7 +352,7 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: ev.API,
 					Message:    fmt.Sprintf("%s drops the caller's reference on %s (hidden put of its cursor) without a prior get", ev.API, ev.Obj),
 					Suggestion: fmt.Sprintf("%s(%s); /* before calling %s */", get, ev.Obj, ev.API),
-					Witness:    evs,
+					witness:    traceRef{ff.Data, tr},
 				})
 			}
 		}
@@ -358,7 +360,7 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 	return out
 }
 
-func putNameFor(db *apidb.DB, ev semantics.Event) string {
+func putNameFor(db *apidb.DB, ev *semantics.Event) string {
 	if ev.Info != nil && ev.Info.Pair != "" {
 		return ev.Info.Pair
 	}

@@ -36,16 +36,18 @@ func (*ErrorHandleChecker) ID() Pattern { return P5 }
 func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
 	type state struct {
-		ev              semantics.Event
-		why             DeferralReason
-		balancedPath    bool
-		errorLeakEvents []semantics.Event
+		ev           *semantics.Event
+		why          DeferralReason
+		balancedPath bool
+		errorLeak    *facts.Trace // a path that leaks it through error handling
 	}
 	incs := map[dedupKey]*state{}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
-		for i, ev := range evs {
+		idx := tr.Idx
+		for i, k := range idx {
+			ev := &all[k]
 			if ev.Op != semantics.OpInc || ev.Obj == "" || ev.Info == nil {
 				continue
 			}
@@ -64,20 +66,20 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			balanced := false
 			transferred := false
 			nullOnPath := false
-			for j := i + 1; j < len(evs); j++ {
-				switch evs[j].Op {
+			for j := i + 1; j < len(idx); j++ {
+				switch later := &all[idx[j]]; later.Op {
 				case semantics.OpDec:
-					if decBalances(evs[j], ev) {
+					if decBalances(later, ev) {
 						balanced = true
 					}
 				case semantics.OpReturn, semantics.OpAssign:
-					if evs[j].Obj != "" && sameObj(evs[j].Obj, ev.Obj) {
+					if later.Obj != "" && sameObj(later.Obj, ev.Obj) {
 						transferred = true
 					}
 				case semantics.OpCond:
 					// On the branch where the object is known NULL there is
 					// no reference to balance.
-					for _, name := range tr.BranchNull(j) {
+					for _, name := range tr.BranchNull(all, j) {
 						if name == semantics.BaseOf(ev.Obj) {
 							nullOnPath = true
 						}
@@ -94,13 +96,13 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			// Unbalanced: does the path run through an error block after
 			// the increment?
 			if tr.ErrorAfter(i) {
-				st.errorLeakEvents = evs
+				st.errorLeak = tr
 			}
 		}
 	}
 	emit := false
 	for _, st := range incs {
-		if st.balancedPath && st.errorLeakEvents != nil {
+		if st.balancedPath && st.errorLeak != nil {
 			emit = true
 			break
 		}
@@ -123,7 +125,7 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 	var out []Report
 	for _, e := range entries {
 		st := e.st
-		if !st.balancedPath || st.errorLeakEvents == nil {
+		if !st.balancedPath || st.errorLeak == nil {
 			continue
 		}
 		pair := "the paired put"
@@ -136,7 +138,7 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			Object: st.ev.Obj, API: st.ev.API,
 			Message:    fmt.Sprintf("%s on %s is balanced on the normal path but leaks through an error-handling path", st.ev.API, st.ev.Obj),
 			Suggestion: fmt.Sprintf("add %s(%s) to the error-handling path", pair, st.ev.Obj),
-			Witness:    st.errorLeakEvents,
+			witness:    traceRef{ff.Data, st.errorLeak},
 			Deferred:   st.why,
 		})
 	}
@@ -212,11 +214,12 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 	// Collect unbalanced increments in acquire (whole-function view).
 	all := ffAcq.All()
 	type keptInc struct {
-		ev  semantics.Event
+		ev  *semantics.Event
 		why DeferralReason
 	}
 	var kept []keptInc
-	for _, ev := range all {
+	for i := range all {
+		ev := &all[i]
 		if ev.Op != semantics.OpInc || ev.Info == nil {
 			continue
 		}
@@ -225,9 +228,10 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 			why = DeferSmartLoop
 		}
 		balanced := false
-		for _, other := range all {
-			if other.Op == semantics.OpDec && decBalances(other, ev) {
+		for _, di := range ffAcq.Data.DecIdx {
+			if decBalances(&all[di], ev) {
 				balanced = true
+				break
 			}
 		}
 		if !balanced {
@@ -268,7 +272,7 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 
 // releaseHasFamilyDec reports whether rel calls the decrement family that
 // balances inc (the pair API, or any dec on the same counted struct).
-func releaseHasFamilyDec(uf *facts.UnitFacts, rel *cpg.Function, inc semantics.Event) bool {
+func releaseHasFamilyDec(uf *facts.UnitFacts, rel *cpg.Function, inc *semantics.Event) bool {
 	if rel == nil {
 		return false
 	}
@@ -276,7 +280,8 @@ func releaseHasFamilyDec(uf *facts.UnitFacts, rel *cpg.Function, inc semantics.E
 	if ffRel == nil {
 		return false
 	}
-	for _, ev := range ffRel.Decs() {
+	for _, di := range ffRel.Data.DecIdx {
+		ev := &ffRel.Data.All[di]
 		if inc.Info.Pair != "" && ev.API == inc.Info.Pair {
 			return true
 		}
@@ -309,10 +314,12 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 	// entries at most, so a reused linear-scanned slice replaces the
 	// per-trace map.
 	var got []string
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		got = got[:0]
-		for _, ev := range evs {
+		for _, k := range tr.Idx {
+			ev := &all[k]
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Obj != "" {
@@ -354,7 +361,7 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: ev.API,
 					Message:    fmt.Sprintf("%s(%s) frees a refcounted object directly, skipping its release callback", ev.API, ev.Obj),
 					Suggestion: fmt.Sprintf("replace %s(%s) with %s", ev.API, ev.Obj, put),
-					Witness:    evs,
+					witness:    traceRef{ff.Data, tr},
 				})
 			}
 		}

@@ -50,10 +50,12 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 			}
 		}
 	}
+	all := ff.Data.All
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		putAt = putAt[:0]
-		for i, ev := range evs {
+		for i, k := range tr.Idx {
+			ev := &all[k]
 			switch ev.Op {
 			case semantics.OpDec:
 				if ev.Info != nil && ev.Info.MayFree && ev.Obj != "" {
@@ -80,7 +82,7 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 				if decIdx < 0 {
 					continue
 				}
-				dec := evs[decIdx]
+				dec := &all[tr.Idx[decIdx]]
 				key := dk(dec.Pos, ev.Obj, "")
 				if reported[key] {
 					continue
@@ -92,7 +94,7 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: dec.API,
 					Message:    fmt.Sprintf("%s is dereferenced after %s dropped its reference (use-after-decrease)", ev.Obj, dec.API),
 					Suggestion: fmt.Sprintf("move the %s(%s) call after the last use of %s", dec.API, dec.Obj, ev.Obj),
-					Witness:    evs,
+					witness:    traceRef{ff.Data, tr},
 				})
 			}
 		}
@@ -127,7 +129,8 @@ func (*EscapeChecker) Check(ff *facts.FunctionFacts) []Report {
 	all := ff.All()
 	var out []Report
 	reported := map[dedupKey]bool{}
-	for _, ev := range ff.Escapes() {
+	for _, ei := range ff.Data.EscapeIdx {
+		ev := &all[ei]
 		src := semantics.BaseOf(ev.Obj)
 		// The escaping value must be a counted pointer: declared as a
 		// pointer to a refcounted struct and NOT a locally owned reference

@@ -111,8 +111,17 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 
 	// Merge in checker-major, function-name order — exactly the order the
 	// sequential loop produced, so finalize sees an identical input stream
-	// (duplicate survival and tie-breaks match byte for byte).
-	var all []Report
+	// (duplicate survival and tie-breaks match byte for byte). The merged
+	// slice is sized once: candidates outnumber final reports, and growing
+	// it by doubling copied every one of them several times.
+	n := 0
+	for _, rs := range unitResults {
+		n += len(rs)
+	}
+	for _, rs := range cellBacking {
+		n += len(rs)
+	}
+	all := make([]Report, 0, n)
 	for ci, c := range e.Checkers {
 		if _, unit := c.(UnitChecker); unit {
 			all = append(all, unitResults[ci]...)
@@ -126,6 +135,7 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 		}
 	}
 	out := finalize(applyDeferrals(all, reg))
+	materializeWitnesses(out)
 	if reg != nil {
 		reg.Add("checker.functions", int64(checked))
 		reg.Add("reports.total", int64(len(out)))

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/clex"
+	"repro/internal/facts"
 	"repro/internal/semantics"
 )
 
@@ -81,6 +82,11 @@ type Report struct {
 	// Witness is the event trace of the buggy path, consumed by
 	// internal/refsim for dynamic confirmation.
 	Witness []semantics.Event
+	// witness names the path trace a checker found the bug on; the engine
+	// copies it into Witness only for reports that survive deferral and
+	// deduplication (see materializeWitnesses), so a dropped candidate
+	// never copies its path's events.
+	witness traceRef
 
 	// Confirmed is set by dynamic confirmation (refsim replay).
 	Confirmed bool
@@ -132,6 +138,24 @@ func (r *Report) Key() string {
 	b = append(b, '|')
 	b = append(b, r.Object...)
 	return string(b)
+}
+
+// traceRef is a report's not-yet-materialized witness: one trace of a
+// function's facts.
+type traceRef struct {
+	d  *facts.Data
+	tr *facts.Trace
+}
+
+// materializeWitnesses fills each report's Witness from its trace and
+// drops the reference, so reports leaving the engine hold plain events.
+func materializeWitnesses(reports []Report) {
+	for i := range reports {
+		if w := reports[i].witness; w.tr != nil {
+			reports[i].Witness = w.d.Events(w.tr)
+			reports[i].witness = traceRef{}
+		}
+	}
 }
 
 // dedupKey is the comparable position+object form of the checkers'

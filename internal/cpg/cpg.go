@@ -240,8 +240,8 @@ func (fe *frontEnd) preprocess(src Source, buf []clex.Token) *cpp.Result {
 // per-TU scratch allocation) is borrowed from the build's pool and returned
 // when the arena releases at the end of the call. That is safe because
 // nothing retains the stream past the parse: the parser copies Token values
-// into AST nodes, and macro bodies alias the lexed *line* storage (the TU's
-// Lines or the shared header cache), never the expanded stream. AST nodes
+// into AST nodes, and macro bodies alias the shared header cache's lines or
+// are copied out of the TU's own pooled lines, never the expanded stream. AST nodes
 // themselves come from slabs inside the parser and are retained by the
 // returned file — slab chunks are never recycled, so the release only
 // touches the pooled buffer.

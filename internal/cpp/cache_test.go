@@ -2,6 +2,7 @@ package cpp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clex"
@@ -140,5 +141,52 @@ func TestTrackIncludes(t *testing.T) {
 				t.Errorf("%s: hash mismatch", d.Path)
 			}
 		}
+	}
+}
+
+// TestTUMacroBodySurvivesLineReuse pins the define-copy rule. A TU's own
+// lines are pooled and recycled when its Process returns, so a macro the TU
+// defines must keep its body after later TUs reuse that storage (under
+// -tags arenadebug the pool also clears recycled buffers, so an aliased body
+// would read zero tokens even without reuse). A header-defined body, whose
+// line belongs to the shared header cache, still aliases it.
+func TestTUMacroBodySurvivesLineReuse(t *testing.T) {
+	const want = "of_node_put(x);of_node_put(y)"
+	spell := func(toks []clex.Token) string {
+		out := ""
+		for _, tk := range toks {
+			out += tk.Text
+		}
+		return out
+	}
+	first := New(nil).Process("a.c", "#define PUT_BOTH(x, y) of_node_put(x); of_node_put(y)\nint a;\n")
+	m := first.Macros["PUT_BOTH"]
+	if m == nil || !m.FuncLike || spell(m.Body) != want {
+		t.Fatalf("PUT_BOTH = %+v, want a function-like macro spelling %q", m, want)
+	}
+	for i := 0; i < 8; i++ {
+		New(nil).Process(fmt.Sprintf("b%d.c", i), strings.Repeat("int filler_token_that_overwrites = 42;\n", 40+i))
+	}
+	if got := spell(m.Body); got != want {
+		t.Fatalf("PUT_BOTH body after later TUs = %q, want %q", got, want)
+	}
+	pp := New(nil)
+	pp.macros["PUT_BOTH"] = m
+	res := pp.Process("c.c", "void f(void) { PUT_BOTH(np, child); }\n")
+	if got := spell(res.Tokens); got != "voidf(void){of_node_put(np);of_node_put(child);}" {
+		t.Fatalf("expansion after reuse = %q", got)
+	}
+
+	hc := NewHeaderCache()
+	const hdr = "#define GET(n) of_node_get(n)\n"
+	hres := New(MapFiles{"h.h": hdr}).WithHeaderCache(hc).Process("d.c", "#include \"h.h\"\n")
+	body := hres.Macros["GET"].Body
+	toks := hc.lex("h.h", hdr).lines.Toks
+	aliased := false
+	for i := range toks {
+		aliased = aliased || len(body) > 0 && &body[0] == &toks[i]
+	}
+	if !aliased {
+		t.Fatal("header-defined macro body does not alias the header cache's lines")
 	}
 }

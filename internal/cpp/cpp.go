@@ -317,13 +317,24 @@ func (p *Preprocessor) processFile(file, src string) {
 
 	// Lexing is macro-independent, so included headers (depth > 1 after the
 	// increment above) come pre-lexed from the shared cache when one is
-	// attached; the top-level TU source is unique per file and lexed inline.
+	// attached. The top-level TU source is unique per file: it is lexed
+	// into pooled line storage that goes back to the pool when this call
+	// returns (define copies the bodies of macros it defines, see
+	// poolsLines).
 	var lines *clex.Lines
-	if p.hcache != nil && p.depth > 1 {
+	switch {
+	case p.hcache != nil && p.depth > 1:
 		h := p.hcache.lex(file, src)
 		lines = h.lines
 		p.errs = append(p.errs, h.errs...)
-	} else {
+	case p.poolsLines():
+		lines = &clex.Lines{Toks: tuLineToks.Get(len(src)/4 + 8), Off: tuLineOffs.Get(len(src)/32 + 8)}
+		p.errs = append(p.errs, clex.TokenizeLinesInto(file, src, p.lexStats, lines)...)
+		defer func() {
+			tuLineToks.Put(lines.Toks)
+			tuLineOffs.Put(lines.Off)
+		}()
+	default:
 		var lexErrs []error
 		lines, lexErrs = clex.TokenizeLines(file, src, p.lexStats)
 		p.errs = append(p.errs, lexErrs...)
@@ -364,6 +375,19 @@ func (p *Preprocessor) processFile(file, src string) {
 		p.errorf(c.openedAtPos, "unterminated conditional")
 	}
 }
+
+// tuLineToks and tuLineOffs recycle the top-level TU's line storage across
+// translation units (and workers): each TU's lines die when its
+// processFile returns, so only the largest TU's buffers need ever be
+// allocated instead of one regrown pair per file.
+var (
+	tuLineToks arena.Pool[clex.Token]
+	tuLineOffs arena.Pool[int32]
+)
+
+// poolsLines reports whether the file being processed lexes into pooled
+// line storage: only the top-level TU does.
+func (p *Preprocessor) poolsLines() bool { return p.depth == 1 }
 
 // expandBufPool recycles the scratch buffers used for per-line macro
 // expansion. Buffer contents never survive a Put: the expansion result is
@@ -486,11 +510,16 @@ func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos) {
 			i++ // ')'
 		}
 	}
-	// The body aliases the (immutable) lexed line rather than copying it.
-	// For header-defined macros the line belongs to the run-shared header
-	// cache, so the alias is free; a full-slice cap keeps any append by a
-	// consumer from spilling into neighboring line storage.
-	m.Body = rest[i:len(rest):len(rest)]
+	// A header-defined body aliases the (immutable) lexed line: the line
+	// belongs to the run-shared header cache, so the alias is free, and a
+	// full-slice cap keeps any append by a consumer from spilling into
+	// neighboring line storage. The TU's own lines are pooled and recycled
+	// when its processFile returns, so a body defined there is copied out.
+	if p.poolsLines() {
+		m.Body = append([]clex.Token(nil), rest[i:]...)
+	} else {
+		m.Body = rest[i:len(rest):len(rest)]
+	}
 	p.macros[m.Name] = m
 }
 

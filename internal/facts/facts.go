@@ -9,13 +9,13 @@
 // engine gets exactly-once semantics at any worker count) and hands the same
 // immutable FunctionFacts value to every checker.
 //
-// The function's CFG and semantic event stream are transients of that one
-// computation: UnitFacts builds them inside the memo, derives Data, and
-// drops them, so their slab chunks die with the computation instead of
-// living as long as the unit. Data is therefore fully self-contained: CFG
-// block pointers are stripped and branch directions and error-block
-// reachability are resolved at compute time, so no consumer needs the CFG
-// to read it. Checkers must treat every slice and map reachable from
+// The function's CFG is a transient of that one computation: UnitFacts
+// builds it inside the memo, derives Data, and drops it, so its slab chunks
+// die with the computation instead of living as long as the unit. The
+// extracted event array is the one thing kept, as Data.All. Data is
+// therefore fully self-contained: CFG block pointers are stripped and
+// branch directions and error-block reachability are resolved at compute
+// time, so no consumer needs the CFG to read it. Checkers must treat every slice and map reachable from
 // FunctionFacts as read-only.
 package facts
 
@@ -40,15 +40,15 @@ const (
 // Trace is one acyclic path's normalized event stream: the path's events in
 // block order with every path-dependent question — which branch was taken,
 // whether error handling lies ahead — pre-resolved, so no consumer needs the
-// CFG blocks themselves.
+// CFG blocks themselves. A trace is a view: it names its events by index
+// into the function's Data.All, which stores each event once however many
+// paths cross its block.
 type Trace struct {
-	// Events holds the path's events in block order, with CFG block
-	// pointers stripped (the resolved fields below replace every query
-	// that needed them).
-	Events []semantics.Event
-	// BlockAt is the path position of each event's block. Positions are
-	// path indices (bounded far below 2^31), stored as int32 so the
-	// in-memory footprint halves.
+	// Idx holds the path's events in block order as indexes into Data.All.
+	// Indexes and positions are bounded far below 2^31, so int32 halves
+	// the footprint.
+	Idx []int32
+	// BlockAt is the path position of each event's block.
 	BlockAt []int32
 	// ErrFrom[k] reports whether the path visits an error-handling block
 	// at or after path position k; the extra index len(path) is always
@@ -68,25 +68,25 @@ func (tr *Trace) ErrorAtOrAfter(i int) bool { return tr.ErrFrom[tr.BlockAt[i]] }
 func (tr *Trace) ErrorAfter(i int) bool { return tr.ErrFrom[tr.BlockAt[i]+1] }
 
 // BranchNonNull returns the names known non-NULL after event i's branch on
-// this path (OpCond events; nil otherwise).
-func (tr *Trace) BranchNonNull(i int) []string {
+// this path (OpCond events; nil otherwise). all is the function's Data.All.
+func (tr *Trace) BranchNonNull(all []semantics.Event, i int) []string {
 	switch tr.Branch[i] {
 	case TookTrue:
-		return tr.Events[i].NonNullTrue
+		return all[tr.Idx[i]].NonNullTrue
 	case TookFalse:
-		return tr.Events[i].NonNullFalse
+		return all[tr.Idx[i]].NonNullFalse
 	}
 	return nil
 }
 
 // BranchNull returns the names known NULL after event i's branch on this
 // path — the duality of BranchNonNull.
-func (tr *Trace) BranchNull(i int) []string {
+func (tr *Trace) BranchNull(all []semantics.Event, i int) []string {
 	switch tr.Branch[i] {
 	case TookTrue:
-		return tr.Events[i].NonNullFalse
+		return all[tr.Idx[i]].NonNullFalse
 	case TookFalse:
-		return tr.Events[i].NonNullTrue
+		return all[tr.Idx[i]].NonNullTrue
 	}
 	return nil
 }
@@ -100,11 +100,11 @@ type Data struct {
 	Traces []Trace
 	// All is the whole-function event view in CFG block order, blocks
 	// stripped — the order checkers historically built by walking
-	// Graph.Blocks.
+	// Graph.Blocks. It is the only copy of the events: traces index it.
 	All []semantics.Event
 	// DecIdx and EscapeIdx index All: decrement events, and escaping
 	// assignments (OpAssign with EscapesVia set). int32 for the same
-	// reason as Trace.BlockAt.
+	// reason as Trace.Idx.
 	DecIdx    []int32
 	EscapeIdx []int32
 	// IncBases are base names incremented anywhere in the function;
@@ -112,6 +112,16 @@ type Data struct {
 	// (a locally acquired reference).
 	IncBases   map[string]bool
 	OwnedBases map[string]bool
+}
+
+// Events returns a fresh copy of tr's events, in path order — the
+// materialized form a report's witness carries.
+func (d *Data) Events(tr *Trace) []semantics.Event {
+	out := make([]semantics.Event, len(tr.Idx))
+	for i, k := range tr.Idx {
+		out[i] = d.All[k]
+	}
+	return out
 }
 
 // FunctionFacts is the immutable per-function value handed to every checker:
@@ -144,27 +154,9 @@ func (ff *FunctionFacts) Traces() []Trace { return ff.Data.Traces }
 // All returns the whole-function event view in block order.
 func (ff *FunctionFacts) All() []semantics.Event { return ff.Data.All }
 
-// Decs returns the function's decrement events in block order.
-func (ff *FunctionFacts) Decs() []semantics.Event {
-	out := make([]semantics.Event, len(ff.Data.DecIdx))
-	for i, di := range ff.Data.DecIdx {
-		out[i] = ff.Data.All[di]
-	}
-	return out
-}
-
-// Escapes returns the function's escaping assignments in block order.
-func (ff *FunctionFacts) Escapes() []semantics.Event {
-	out := make([]semantics.Event, len(ff.Data.EscapeIdx))
-	for i, ei := range ff.Data.EscapeIdx {
-		out[i] = ff.Data.All[ei]
-	}
-	return out
-}
-
 // SmartLoop reports whether the event was injected by a registered smartloop
 // macro (for_each_*-style iterators that hold a reference per iteration).
-func (ff *FunctionFacts) SmartLoop(ev semantics.Event) bool {
+func (ff *FunctionFacts) SmartLoop(ev *semantics.Event) bool {
 	return ev.FromMacro != "" && ff.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
@@ -256,16 +248,18 @@ func (uf *UnitFacts) Observe(reg *obs.Registry) {
 }
 
 // SmartLoop is FunctionFacts.SmartLoop for unit-scoped checkers.
-func (uf *UnitFacts) SmartLoop(ev semantics.Event) bool {
+func (uf *UnitFacts) SmartLoop(ev *semantics.Event) bool {
 	return ev.FromMacro != "" && uf.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
 // computeData derives one function's Data from its CFG and event stream.
-// The trace flattening mirrors the engine's historical per-checker walk exactly: for
-// each path, events in block order with their path positions, branch
-// directions resolved against the successor actually taken, and error-block
-// reachability precomputed as a suffix scan.
-func computeData(g *cfg.Graph, evs *semantics.FuncEvents) *Data {
+// The trace flattening mirrors the engine's historical per-checker walk
+// exactly: for each path, events in block order with their path positions,
+// branch directions resolved against the successor actually taken, and
+// error-block reachability precomputed as a suffix scan. Traces record
+// indexes into the extractor's event array, which then has its CFG block
+// pointers stripped in place and becomes All: no event is copied.
+func computeData(g *cfg.Graph, fe *semantics.FuncEvents) *Data {
 	d := &Data{}
 	paths := g.Paths(0)
 	d.Traces = make([]Trace, 0, len(paths))
@@ -275,39 +269,16 @@ func computeData(g *cfg.Graph, evs *semantics.FuncEvents) *Data {
 	grand, errLen := 0, 0
 	for _, p := range paths {
 		for _, b := range p {
-			grand += len(evs.ByBlok[b])
+			grand += int(fe.Off[b.ID+1] - fe.Off[b.ID])
 		}
 		errLen += len(p) + 1
 	}
-	total, nDec, nEsc := 0, 0, 0
-	for _, b := range g.Blocks {
-		evs := evs.ByBlok[b]
-		total += len(evs)
-		for i := range evs {
-			switch {
-			case evs[i].Op == semantics.OpDec:
-				nDec++
-			case evs[i].Op == semantics.OpAssign && evs[i].EscapesVia != "":
-				nEsc++
-			}
-		}
-	}
-	if nDec > 0 {
-		d.DecIdx = make([]int32, 0, nDec)
-	}
-	if nEsc > 0 {
-		d.EscapeIdx = make([]int32, 0, nEsc)
-	}
 	var (
-		evBack []semantics.Event
-		atBack []int32
-		brBack []int8
+		idxBack, atBack []int32
+		brBack          []int8
 	)
-	if grand+total > 0 {
-		// One event array backs both the per-trace windows and d.All.
-		evBack = make([]semantics.Event, 0, grand+total)
-	}
 	if grand > 0 {
+		idxBack = make([]int32, 0, grand)
 		atBack = make([]int32, 0, grand)
 		brBack = make([]int8, 0, grand)
 	}
@@ -315,26 +286,27 @@ func computeData(g *cfg.Graph, evs *semantics.FuncEvents) *Data {
 	efOff := 0
 	for _, p := range paths {
 		tr := Trace{}
-		start := len(evBack)
+		start := len(idxBack)
 		for bi, b := range p {
-			for _, ev := range evs.ByBlok[b] {
+			var next *cfg.Block
+			if bi+1 < len(p) {
+				next = p[bi+1]
+			}
+			for k := fe.Off[b.ID]; k < fe.Off[b.ID+1]; k++ {
 				br := TookUnknown
-				if bi+1 < len(p) {
-					switch semantics.BranchTaken(ev, p[bi+1]) {
-					case 1:
-						br = TookTrue
-					case -1:
-						br = TookFalse
-					}
+				switch semantics.BranchTaken(&fe.Events[k], next) {
+				case 1:
+					br = TookTrue
+				case -1:
+					br = TookFalse
 				}
-				ev.Block = nil
-				evBack = append(evBack, ev)
+				idxBack = append(idxBack, k)
 				atBack = append(atBack, int32(bi))
 				brBack = append(brBack, br)
 			}
 		}
-		if end := len(evBack); end > start {
-			tr.Events = evBack[start:end:end]
+		if end := len(idxBack); end > start {
+			tr.Idx = idxBack[start:end:end]
 			tr.BlockAt = atBack[start:end:end]
 			tr.Branch = brBack[start:end:end]
 		}
@@ -345,34 +317,43 @@ func computeData(g *cfg.Graph, evs *semantics.FuncEvents) *Data {
 		}
 		d.Traces = append(d.Traces, tr)
 	}
-	allStart := len(evBack)
-	for _, b := range g.Blocks {
-		for _, ev := range evs.ByBlok[b] {
-			ev.Block = nil
-			i := int32(len(evBack) - allStart)
-			switch {
-			case ev.Op == semantics.OpDec:
-				d.DecIdx = append(d.DecIdx, i)
-			case ev.Op == semantics.OpAssign && ev.EscapesVia != "":
-				d.EscapeIdx = append(d.EscapeIdx, i)
-			case ev.Op == semantics.OpInc && ev.Obj != "":
-				base := semantics.BaseOf(ev.Obj)
-				if d.IncBases == nil {
-					d.IncBases = map[string]bool{}
-				}
-				d.IncBases[base] = true
-				if ev.Info != nil && ev.Info.ReturnsRef {
-					if d.OwnedBases == nil {
-						d.OwnedBases = map[string]bool{}
-					}
-					d.OwnedBases[base] = true
-				}
-			}
-			evBack = append(evBack, ev)
+	d.All = fe.Events
+	nDec, nEsc := 0, 0
+	for i := range d.All {
+		switch ev := &d.All[i]; {
+		case ev.Op == semantics.OpDec:
+			nDec++
+		case ev.Op == semantics.OpAssign && ev.EscapesVia != "":
+			nEsc++
 		}
 	}
-	if len(evBack) > allStart {
-		d.All = evBack[allStart:len(evBack):len(evBack)]
+	if nDec > 0 {
+		d.DecIdx = make([]int32, 0, nDec)
+	}
+	if nEsc > 0 {
+		d.EscapeIdx = make([]int32, 0, nEsc)
+	}
+	for i := range d.All {
+		ev := &d.All[i]
+		ev.Block = nil
+		switch {
+		case ev.Op == semantics.OpDec:
+			d.DecIdx = append(d.DecIdx, int32(i))
+		case ev.Op == semantics.OpAssign && ev.EscapesVia != "":
+			d.EscapeIdx = append(d.EscapeIdx, int32(i))
+		case ev.Op == semantics.OpInc && ev.Obj != "":
+			base := semantics.BaseOf(ev.Obj)
+			if d.IncBases == nil {
+				d.IncBases = map[string]bool{}
+			}
+			d.IncBases[base] = true
+			if ev.Info != nil && ev.Info.ReturnsRef {
+				if d.OwnedBases == nil {
+					d.OwnedBases = map[string]bool{}
+				}
+				d.OwnedBases[base] = true
+			}
+		}
 	}
 	return d
 }

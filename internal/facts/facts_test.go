@@ -2,12 +2,17 @@ package facts_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/cpg"
+	"repro/internal/difftest"
 	"repro/internal/facts"
+	"repro/internal/semantics"
 )
 
 // fixture has a hidden-get leak, a paired-error-path function, and a
@@ -92,21 +97,21 @@ func TestMemoizedExactlyOnce(t *testing.T) {
 }
 
 // TestTraceSchema checks the structural invariants every checker relies on:
-// parallel slices, stripped CFG blocks, monotone block positions, and the
-// ErrFrom suffix property.
+// parallel slices, in-range event indexes, stripped CFG blocks, monotone
+// block positions, and the ErrFrom suffix property.
 func TestTraceSchema(t *testing.T) {
 	uf := facts.NewUnit(buildFixture(t))
 	sawError := false
 	for _, name := range uf.FunctionNames() {
 		ff := uf.Function(name)
 		for ti, tr := range ff.Traces() {
-			if len(tr.Events) != len(tr.BlockAt) || len(tr.Events) != len(tr.Branch) {
+			if len(tr.Idx) != len(tr.BlockAt) || len(tr.Idx) != len(tr.Branch) {
 				t.Fatalf("%s trace %d: slice lengths diverge (%d events, %d blockAt, %d branch)",
-					name, ti, len(tr.Events), len(tr.BlockAt), len(tr.Branch))
+					name, ti, len(tr.Idx), len(tr.BlockAt), len(tr.Branch))
 			}
-			for i, ev := range tr.Events {
-				if ev.Block != nil {
-					t.Fatalf("%s trace %d event %d: CFG block not stripped", name, ti, i)
+			for i, k := range tr.Idx {
+				if k < 0 || int(k) >= len(ff.All()) {
+					t.Fatalf("%s trace %d event %d: index %d outside All (%d events)", name, ti, i, k, len(ff.All()))
 				}
 				if i > 0 && tr.BlockAt[i] < tr.BlockAt[i-1] {
 					t.Fatalf("%s trace %d: BlockAt not monotone at %d", name, ti, i)
@@ -135,5 +140,92 @@ func TestTraceSchema(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("fixture should produce at least one path through an error block")
+	}
+}
+
+// TestTracesMatchReferenceFlattening checks the index-view traces against
+// an independent flattening over every function of the golden corpus: for
+// each cfg.Paths path, the events of each block in path order (blocks
+// stripped), the branch the path takes out of each block, and the
+// error-block suffix. Each Trace.Idx must resolve through Data.All to
+// exactly that sequence, and All must be the extractor's events in block
+// order.
+func TestTracesMatchReferenceFlattening(t *testing.T) {
+	c := corpus.Generate(corpus.Spec{Seed: difftest.GoldenSeed})
+	ss := difftest.FromCorpus(c)
+	run, err := core.Analyze(context.Background(), core.Request{Sources: ss.Sources, Headers: ss.Headers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := run.Unit
+	uf := facts.NewUnit(u)
+	globals := map[string]bool{}
+	for name := range u.Globals {
+		globals[name] = true
+	}
+	ext := &semantics.Extractor{DB: u.DB, GlobalNames: globals}
+	sameEvents := func(got, want []semantics.Event) bool {
+		return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
+	}
+	traces, events := 0, 0
+	for _, name := range uf.FunctionNames() {
+		d := uf.Function(name).Data
+		g := cfg.BuildArena(u.Functions[name].Def, nil)
+		fe := ext.Extract(g)
+		var wantAll []semantics.Event
+		for _, b := range g.Blocks {
+			for _, ev := range fe.Of(b) {
+				ev.Block = nil
+				wantAll = append(wantAll, ev)
+			}
+		}
+		if !sameEvents(d.All, wantAll) {
+			t.Fatalf("%s: All differs from the extractor's block-order events", name)
+		}
+		paths := g.Paths(0)
+		if len(d.Traces) != len(paths) {
+			t.Fatalf("%s: %d traces for %d paths", name, len(d.Traces), len(paths))
+		}
+		for ti, p := range paths {
+			tr := &d.Traces[ti]
+			var (
+				want   []semantics.Event
+				wantAt []int32
+				wantBr []int8
+			)
+			for bi, b := range p {
+				br := facts.TookUnknown
+				if bi+1 < len(p) && len(b.Succs) > 0 {
+					br = facts.TookFalse
+					if p[bi+1] == b.Succs[0] {
+						br = facts.TookTrue
+					}
+				}
+				for _, ev := range fe.Of(b) {
+					ev.Block = nil
+					want = append(want, ev)
+					wantAt = append(wantAt, int32(bi))
+					wantBr = append(wantBr, br)
+				}
+			}
+			wantErr := make([]bool, len(p)+1)
+			for k := len(p) - 1; k >= 0; k-- {
+				wantErr[k] = wantErr[k+1] || p[k].IsError
+			}
+			if !sameEvents(d.Events(tr), want) {
+				t.Fatalf("%s trace %d: Idx resolves to %s, want %s", name, ti,
+					semantics.EventsString(d.Events(tr)), semantics.EventsString(want))
+			}
+			if !reflect.DeepEqual(append([]int32{}, tr.BlockAt...), append([]int32{}, wantAt...)) ||
+				!reflect.DeepEqual(append([]int8{}, tr.Branch...), append([]int8{}, wantBr...)) ||
+				!reflect.DeepEqual(tr.ErrFrom, wantErr) {
+				t.Fatalf("%s trace %d: positions, branches or ErrFrom differ from the reference", name, ti)
+			}
+			traces++
+			events += len(want)
+		}
+	}
+	if traces < 1000 || events < 5000 {
+		t.Fatalf("golden corpus gave %d traces and %d trace events; the check covered too little", traces, events)
 	}
 }

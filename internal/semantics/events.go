@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/apidb"
+	"repro/internal/arena"
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/clex"
@@ -71,10 +72,21 @@ type Event struct {
 	FromMacro string // outermost macro that injected the event, or ""
 }
 
-// FuncEvents is the event view of one function.
+// FuncEvents is the event view of one function. Every event is stored
+// exactly once, in g.Blocks order, and a block's events are a window of
+// that one array: block b's are Events[Off[b.ID]:Off[b.ID+1]] (Block.ID is
+// the block's index in g.Blocks). Consumers that walk paths (the facts
+// layer's traces) keep indexes into Events instead of copies.
 type FuncEvents struct {
 	Graph  *cfg.Graph
-	ByBlok map[*cfg.Block][]Event
+	Events []Event
+	Off    []int32 // len(g.Blocks)+1 offsets into Events
+}
+
+// Of returns block b's events as a capacity-capped window of Events.
+func (fe *FuncEvents) Of(b *cfg.Block) []Event {
+	lo, hi := fe.Off[b.ID], fe.Off[b.ID+1]
+	return fe.Events[lo:hi:hi]
 }
 
 // Extractor converts CFGs into events using an API knowledge base.
@@ -104,36 +116,30 @@ var freeAPIs = map[string]int{
 	"kzfree": 0, "kmem_cache_free": 1, "devm_kfree": 1,
 }
 
+// extractScratch recycles Extract's growing event buffer across functions:
+// the events are appended there and then copied once into an exact-size
+// array, so a function costs one event allocation however its blocks
+// split.
+var extractScratch arena.Pool[Event]
+
 // Extract computes the event view of g.
 func (x *Extractor) Extract(g *cfg.Graph) *FuncEvents {
-	fe := &FuncEvents{
-		Graph:  g,
-		ByBlok: make(map[*cfg.Block][]Event, len(g.Blocks)),
-	}
-	// Per-block event slices are carved as capacity-bounded windows of a
-	// call-local chunk (the Extractor itself is shared across workers, so
-	// the scratch cannot live on it). A block that outgrows its window
-	// migrates to its own heap slice via the ordinary append realloc; the
-	// window bytes it abandoned are wasted, not corrupted, because a window
-	// can never grow past its own capacity in place.
-	const evWindowCap, evChunkLen = 4, 16
-	var chunk []Event
-	for _, b := range g.Blocks {
-		if cap(chunk)-len(chunk) < evWindowCap {
-			chunk = make([]Event, 0, evChunkLen)
-		}
-		off := len(chunk)
-		evs := chunk[off : off : off+evWindowCap]
+	fe := &FuncEvents{Graph: g, Off: make([]int32, len(g.Blocks)+1)}
+	buf := extractScratch.Get(64)
+	for i, b := range g.Blocks {
 		for _, s := range b.Stmts {
-			evs = x.stmtEvents(evs, fe, b, s)
+			buf = x.stmtEvents(buf, fe, b, s)
 		}
-		if len(evs) > 0 {
-			fe.ByBlok[b] = evs
-			if len(evs) <= evWindowCap {
-				chunk = chunk[:off+len(evs)]
-			}
-		}
+		fe.Off[i+1] = int32(len(buf))
 	}
+	if len(buf) > 0 {
+		fe.Events = make([]Event, len(buf))
+		copy(fe.Events, buf)
+	}
+	// Clear before recycling: the copied events point into this CFG, and a
+	// pooled buffer must not pin it.
+	clear(buf)
+	extractScratch.Put(buf)
 	return fe
 }
 
@@ -177,10 +183,10 @@ func BaseOf(key string) string {
 // successors). next is the block following the event's block on the path
 // (nil at path end), and the event must still carry its Block pointer —
 // internal/facts resolves branches at compute time, before it strips blocks
-// from the normalized traces. The NULL-duality (`if (!p)` puts p in
+// from the function's event array. The NULL-duality (`if (!p)` puts p in
 // NonNullFalse, so the true branch means p is NULL) is applied by the
 // facts-layer accessors over the resolved direction.
-func BranchTaken(ev Event, next *cfg.Block) int {
+func BranchTaken(ev *Event, next *cfg.Block) int {
 	if next == nil || ev.Block == nil || len(ev.Block.Succs) == 0 {
 		return 0
 	}

@@ -45,7 +45,7 @@ func extract(t *testing.T, src, fn string) *FuncEvents {
 func allEvents(fe *FuncEvents) []Event {
 	var out []Event
 	for _, b := range fe.Graph.Blocks {
-		out = append(out, fe.ByBlok[b]...)
+		out = append(out, fe.Of(b)...)
 	}
 	return out
 }
@@ -83,6 +83,56 @@ void f(struct device_node *np)
 	inc := findOp(evs, OpInc)
 	if inc.Obj != "np" || inc.API != "of_node_get" {
 		t.Errorf("inc = %+v", inc)
+	}
+}
+
+// TestExtractOneEventArray checks the storage contract of FuncEvents: the
+// function's events sit in one exact-size array in g.Blocks order, and each
+// block's Of window aliases that array rather than holding a copy.
+func TestExtractOneEventArray(t *testing.T) {
+	fe := extract(t, `
+int f(struct device_node *np)
+{
+	struct device_node *c = of_get_parent(np);
+	if (!c)
+		return -ENODEV;
+	if (c->flags) {
+		of_node_put(c);
+		return -EINVAL;
+	}
+	of_node_put(c);
+	return 0;
+}`, "f")
+	if len(fe.Events) == 0 || cap(fe.Events) != len(fe.Events) {
+		t.Fatalf("Events len %d cap %d, want one non-empty exact-size array", len(fe.Events), cap(fe.Events))
+	}
+	if len(fe.Off) != len(fe.Graph.Blocks)+1 {
+		t.Fatalf("Off has %d entries for %d blocks", len(fe.Off), len(fe.Graph.Blocks))
+	}
+	n, multi := 0, 0
+	for _, b := range fe.Graph.Blocks {
+		w := fe.Of(b)
+		if len(w) > 0 {
+			multi++
+		}
+		if cap(w) != len(w) {
+			t.Fatalf("block %d window len %d cap %d, want capacity-capped", b.ID, len(w), cap(w))
+		}
+		for i := range w {
+			if &w[i] != &fe.Events[n] {
+				t.Fatalf("block %d event %d is not Events[%d]", b.ID, i, n)
+			}
+			if w[i].Block != b {
+				t.Fatalf("block %d event %d carries block %v", b.ID, i, w[i].Block)
+			}
+			n++
+		}
+	}
+	if n != len(fe.Events) {
+		t.Fatalf("block windows cover %d of %d events", n, len(fe.Events))
+	}
+	if multi < 3 {
+		t.Fatalf("fixture spreads events over %d blocks, want several", multi)
 	}
 }
 

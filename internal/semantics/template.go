@@ -63,7 +63,7 @@ func linearize(fe *FuncEvents, p cfg.Path) []pathItem {
 	var items []pathItem
 	for _, b := range p {
 		items = append(items, pathItem{block: b})
-		evs := fe.ByBlok[b]
+		evs := fe.Of(b)
 		for i := range evs {
 			items = append(items, pathItem{event: &evs[i]})
 		}

@@ -2,7 +2,7 @@
 # verify.sh — the tier-1 gate: format check, vet, build, the full test
 # suite, then the suite again under the race detector (the pipeline is
 # parallel by default, so a data race is a correctness bug, not a flake),
-# and finally the released-binary selftest with tracing enabled (the golden
+# the pooling packages under -tags arenadebug, and finally the released-binary selftest with tracing enabled (the golden
 # artifacts must hold with observability on, and the Chrome trace export
 # must produce a loadable event stream). The benchmark module under
 # perfbench/ is vetted and tested alongside the root module.
@@ -29,6 +29,15 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
+
+# The pooling packages again under -tags arenadebug, which clears every
+# pooled buffer on Put and panics on a released slab: a structure that
+# still aliases recycled storage (a macro body in a TU's pooled lines, an
+# event in the extractor's scratch, a token in a recycled expansion buffer)
+# then reads zeros and fails its test instead of passing on stale data.
+go test -tags arenadebug ./internal/arena ./internal/clex ./internal/cpp \
+    ./internal/cparse ./internal/cpg ./internal/cfg ./internal/semantics \
+    ./internal/facts ./internal/core ./internal/difftest
 
 # The benchmark is its own Go module (perfbench/go.mod), so the root
 # `go build ./...` never compiles it: vet and test it here, so a change to a
