@@ -24,13 +24,22 @@
 //     dirty longer than the flush interval, or explicitly via Flush/Close.
 //     Batching collapses the two entry kinds (one front-end entry per file,
 //     one report entry per unit) into one file write per shard instead of
-//     one per entry.
+//     one per entry. The flush streams the batch into a temporary file that
+//     is renamed into place, and then keeps only the entries' locations.
+//   - The L2 index holds no payload bytes. Per shard it maps each key to its
+//     pack, offset, length and a CRC-32C of the payload, at about 100 bytes
+//     an entry. A lookup opens the pack, reads that one entry, closes the
+//     file and checks the CRC, so a long-running process's memory tracks
+//     the number of entries on disk, not their size.
 //
 // Because a pack's name commits to its content hash, a torn or bit-rotted
-// pack is detected by hashing the whole file on load; any mismatch discards
-// the entire pack as corrupt. That is the integrity contract that lets the
-// writer skip per-entry fsync/rename dances: a torn batch write degrades to
-// clean misses for every entry in the batch, never to a wrong answer.
+// pack is detected by hashing the whole file when a shard is first indexed;
+// any mismatch discards the entire pack as corrupt. A pack that changes
+// after it was indexed (deleted, truncated, rewritten) is caught per read:
+// a short read or a CRC mismatch drops the entry's ref and counts as
+// corrupt. That is the integrity contract that lets the writer skip
+// per-entry fsync: a torn batch write degrades to clean misses for every
+// entry in the batch, never to a wrong answer.
 //
 // Entry payloads are opaque byte slices: each caller owns its encoding
 // (hand-rolled binary codecs built on internal/bincodec — see internal/cpg,
@@ -132,9 +141,9 @@ func (c *Cache) Dir() string { return c.dir }
 
 // WithRegistry returns a view of the cache that counts every tier event
 // into reg (cache.read.*, cache.write*, cache.l1.*, cache.l2.batch.*,
-// cache.singleflight.*). The receiver is not mutated and all views share
-// the tier state, so one cache can serve traced and untraced runs
-// concurrently.
+// cache.l2.read.bytes, cache.singleflight.*). The receiver is not mutated
+// and all views share the tier state, so one cache can serve traced and
+// untraced runs concurrently.
 func (c *Cache) WithRegistry(reg *obs.Registry) *Cache {
 	return &Cache{dir: c.dir, reg: reg, st: c.st}
 }
@@ -164,7 +173,10 @@ func (c *Cache) GetValue(key string, decode func(data []byte) (any, error)) (any
 		}
 		c.reg.Add("cache.l1.miss", 1)
 	}
-	data, corrupt, ok := c.st.l2.lookup(key)
+	data, read, corrupt, ok := c.st.l2.lookup(key)
+	if read > 0 {
+		c.reg.Add("cache.l2.read.bytes", int64(read))
+	}
 	if corrupt > 0 {
 		c.reg.Add("cache.read.corrupt", int64(corrupt))
 	}
@@ -330,12 +342,13 @@ func (c *Cache) Flight(ctx context.Context, key string, fn func() (any, error)) 
 	return c.st.flight.do(ctx, key, fn)
 }
 
-// Stats is a point-in-time snapshot of the in-memory tier (counters live in
+// Stats is a point-in-time snapshot of the tier gauges (counters live in
 // the obs registry; this covers the gauges a CLI wants to print at exit).
 type Stats struct {
 	L1Entries int64 // values currently held by the memory tier
 	L1Bytes   int64 // their encoded-size charge against the budget
 	Pending   int64 // disk-tier entries buffered but not yet flushed
+	L2Entries int64 // disk-tier entries the index can locate in a pack
 }
 
 // Stats snapshots the tier gauges.
@@ -345,6 +358,7 @@ func (c *Cache) Stats() Stats {
 		s.L1Entries, s.L1Bytes = l1.stats()
 	}
 	s.Pending = c.st.l2.pendingEntries()
+	s.L2Entries = c.st.l2.indexEntries()
 	return s
 }
 

@@ -151,8 +151,8 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	}
 
 	// Truncated pack → its name no longer matches its hash → every entry
-	// in it is a miss (a fresh handle sees the disk state; the writing
-	// handle legitimately still serves from its in-memory index).
+	// in it is a miss for a fresh handle (the writing handle's per-read
+	// checks are TestIndexedPackChangedIsCorruptMiss's subject).
 	data, err := os.ReadFile(packs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,14 @@
 package analysiscache
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/arena"
 )
 
 // packMagic heads every pack file; the trailing digit is the pack format
@@ -26,11 +32,15 @@ const (
 	packExt     = ".pack"
 )
 
+// castagnoli is the CRC-32C table behind each index ref's payload checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // l2Tier is the disk tier: 16 single-hex-char shard directories of pack
-// files plus, per shard, a pending write batch and a lazily loaded index of
-// every valid pack's entries. The index retains pack bytes in memory for
-// the life of the handle — bounded by what this process actually reads, and
-// the payloads the callers decode would otherwise be read again per lookup.
+// files plus, per shard, a pending write batch and a lazily built index
+// that locates every entry of every valid pack on disk. The index holds no
+// payload bytes: a lookup reads its one entry from the pack and checks it
+// against the CRC taken when the pack was verified or written, so memory
+// tracks the number of entries, not their size.
 type l2Tier struct {
 	dir string
 
@@ -54,11 +64,24 @@ type l2Shard struct {
 	pendingBytes int64
 	dirtySince   time.Time
 
-	// packs indexes every entry of every valid pack seen so far: loaded
-	// from disk on the shard's first read, extended in place on every
-	// successful flush.
-	packs  map[string][]byte
-	loaded bool
+	// index locates every entry of every valid pack seen so far: built
+	// from the shard directory on the shard's first read (each pack
+	// SHA-256-verified, then its bytes dropped), extended on every
+	// successful flush. packNames holds each indexed pack's file name once,
+	// at the position its refs name; packIDs inverts it.
+	index     map[string]entryRef
+	packNames []string
+	packIDs   map[string]uint32
+	loaded    bool
+}
+
+// entryRef locates one payload: which pack of the shard, where in it, and
+// the CRC-32C of its bytes as they were when the pack was verified.
+type entryRef struct {
+	off  int64
+	pack uint32
+	len  uint32
+	crc  uint32
 }
 
 func newL2Tier(dir string) *l2Tier {
@@ -73,60 +96,160 @@ func (t *l2Tier) shardDir(n int) string {
 	return filepath.Join(t.dir, string("0123456789abcdef"[n]))
 }
 
-// lookup returns the payload for key from the pending batch or the pack
-// index, loading the shard's packs from disk on first use. corrupt counts
-// packs discarded by this call (hash mismatch, unreadable, malformed).
-func (t *l2Tier) lookup(key string) (data []byte, corrupt int, ok bool) {
+// lookup returns the payload for key from the pending batch or, through the
+// index, from its pack on disk, building the shard's index on first use.
+// read is the number of bytes read from disk. corrupt counts packs
+// discarded while building the index plus an indexed entry that failed its
+// read: a pack deleted, truncated or rewritten underneath the index, or a
+// payload whose CRC no longer matches. Such an entry's ref is dropped, so
+// it stays a plain miss until stored again.
+func (t *l2Tier) lookup(key string) (data []byte, read, corrupt int, ok bool) {
 	s := &t.shards[shardOf(key)]
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if d, ok := s.pending[key]; ok {
-		return d, 0, true
+		s.mu.Unlock()
+		return d, 0, 0, true
 	}
 	corrupt = t.ensureLoaded(s)
-	d, ok := s.packs[key]
-	return d, corrupt, ok
+	ref, ok := s.index[key]
+	var path string
+	if ok {
+		path = filepath.Join(t.shardDir(s.n), s.packNames[ref.pack])
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil, 0, corrupt, false
+	}
+	data, err := readEntry(path, ref)
+	if err != nil {
+		s.mu.Lock()
+		if s.index[key] == ref {
+			delete(s.index, key)
+		}
+		s.mu.Unlock()
+		return nil, 0, corrupt + 1, false
+	}
+	return data, len(data), corrupt, true
 }
 
-// ensureLoaded reads and verifies every pack in the shard directory once
-// per handle. Caller holds s.mu.
+var errEntryCRC = errors.New("analysiscache: entry checksum mismatch")
+
+// readEntry reads one indexed payload into fresh storage and checks its CRC.
+// The pack is opened per read and closed before returning, so the tier
+// holds no file descriptors between lookups.
+func readEntry(path string, ref entryRef) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, ref.len)
+	_, err = f.ReadAt(data, ref.off)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(data, castagnoli) != ref.crc {
+		return nil, errEntryCRC
+	}
+	return data, nil
+}
+
+// ensureLoaded indexes every valid pack in the shard directory once per
+// handle. Each pack is read whole into one reused buffer and SHA-256-checked
+// against its name before any of its entries is indexed. Packs this handle
+// flushed are indexed already and are not read again. Caller holds s.mu.
 func (t *l2Tier) ensureLoaded(s *l2Shard) (corrupt int) {
 	if s.loaded {
 		return 0
 	}
 	s.loaded = true
-	if s.packs == nil {
-		s.packs = make(map[string][]byte)
-	}
-	ents, err := os.ReadDir(t.shardDir(s.n))
+	dir := t.shardDir(s.n)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0 // no shard dir yet: nothing stored, nothing corrupt
 	}
 	// ReadDir returns sorted names, so duplicate keys across packs resolve
 	// deterministically (identical bytes anyway: keys are content hashes).
+	buf := packBufs.Get(0)
+	defer func() { packBufs.Put(buf) }()
 	for _, de := range ents {
 		name := de.Name()
 		if !strings.HasSuffix(name, packExt) || len(name) != packHashLen+len(packExt) {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(t.shardDir(s.n), name))
+		if _, known := s.packIDs[name]; known {
+			continue
+		}
+		buf, err = readFileInto(filepath.Join(dir, name), buf)
 		if err != nil {
 			corrupt++
 			continue
 		}
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(buf)
 		if hex.EncodeToString(sum[:])[:packHashLen] != name[:packHashLen] {
 			// Torn write or bit rot: the whole pack is untrusted. Every
 			// entry it held degrades to a miss.
 			corrupt++
 			continue
 		}
-		if !parsePack(data, s.packs) {
+		// A structural failure (possible only through format drift, since
+		// the hash already matched) rejects the whole pack without touching
+		// the index, so the pack is walked once to check and once to index.
+		if !walkPack(buf, nil) {
 			corrupt++
 			continue
 		}
+		id := s.addPack(name)
+		walkPack(buf, func(key []byte, off int, val []byte) {
+			s.index[string(key)] = entryRef{
+				off:  int64(off),
+				pack: id,
+				len:  uint32(len(val)),
+				crc:  crc32.Checksum(val, castagnoli),
+			}
+		})
 	}
 	return corrupt
+}
+
+// packBufs recycles the buffer packs are verified in, so indexing every
+// shard of a cache costs one buffer the size of the largest pack.
+var packBufs arena.Pool[byte]
+
+// readFileInto reads the file at path into buf, growing it as needed.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	n := int(fi.Size())
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
+}
+
+// addPack registers a pack file name with the shard and returns its id,
+// creating the index on first use. Caller holds s.mu.
+func (s *l2Shard) addPack(name string) uint32 {
+	if id, ok := s.packIDs[name]; ok {
+		return id
+	}
+	if s.index == nil {
+		s.index = make(map[string]entryRef)
+		s.packIDs = make(map[string]uint32)
+	}
+	id := uint32(len(s.packNames))
+	s.packNames = append(s.packNames, name)
+	s.packIDs[name] = id
+	return id
 }
 
 // put queues one entry and reports the shard to flush inline when its batch
@@ -165,9 +288,12 @@ type flushResult struct {
 // flushShard writes the shard's pending batch as one pack file. Entries are
 // packed in sorted key order, so a given batch always produces identical
 // bytes — and therefore an identical file name — no matter which worker
-// queued what first; concurrent identical flushes converge on one file. On
-// a write failure the batch is dropped: the entries become misses, which is
-// the cache's one failure mode.
+// queued what first; concurrent identical flushes converge on one file. The
+// batch is streamed twice, through SHA-256 for the name and then into the
+// file, so no copy of the whole pack is ever built. On a write failure the
+// batch is dropped: the entries become misses, which is the cache's one
+// failure mode. On success the batch's payloads are released and the index
+// records where each now lies.
 func (t *l2Tier) flushShard(s *l2Shard) flushResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,10 +306,10 @@ func (t *l2Tier) flushShard(s *l2Shard) flushResult {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	pack := buildPack(keys, s.pending)
-	sum := sha256.Sum256(pack)
-	name := hex.EncodeToString(sum[:])[:packHashLen] + packExt
-	err := t.writePack(s.n, name, pack)
+	h := sha256.New()
+	writePack(h, keys, s.pending)
+	name := hex.EncodeToString(h.Sum(nil))[:packHashLen] + packExt
+	err := t.writePackFile(s.n, name, keys, s.pending)
 
 	pending := s.pending
 	s.pending = nil
@@ -192,22 +318,37 @@ func (t *l2Tier) flushShard(s *l2Shard) flushResult {
 	if err != nil {
 		return flushResult{dropped: n, err: err}
 	}
-	// Fold the flushed entries into the index so same-handle reads keep
-	// hitting without re-reading the pack.
-	if s.packs == nil {
-		s.packs = make(map[string][]byte, n)
-	}
-	for k, v := range pending {
-		s.packs[k] = v
+	id := s.addPack(name)
+	off := len(packMagic)
+	for _, k := range keys {
+		v := pending[k]
+		off += 8 + len(k)
+		s.index[k] = entryRef{
+			off:  int64(off),
+			pack: id,
+			len:  uint32(len(v)),
+			crc:  crc32.Checksum(v, castagnoli),
+		}
+		off += len(v)
 	}
 	return flushResult{packs: 1, entries: n}
 }
 
-// writePack writes one pack file, negotiating the shard directory through
-// the dirs bitmap: probe with mkdir only on the first write per shard, and
-// when the directory vanished underneath a set bit (ErrNotExist on a shard
-// the bitmap swears exists), clear the stale bit, recreate, and retry once.
-func (t *l2Tier) writePack(shard int, name string, pack []byte) error {
+// packWriters recycles the buffered writers flushes stream packs through.
+var packWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// tmpSeq makes each in-flight pack's temporary name unique in the process.
+var tmpSeq atomic.Uint64
+
+// writePackFile streams one batch into the shard directory as pack file name.
+// The bytes go to a temporary file that is renamed into place, so a reader
+// never sees a half-written pack under its final name, not even while a
+// concurrent flush of an identical batch replaces it. The shard directory
+// is negotiated through the dirs bitmap: probe with mkdir only on the first
+// write per shard, and when the directory vanished underneath a set bit
+// (ErrNotExist on a shard the bitmap swears exists), clear the stale bit,
+// recreate, and retry once.
+func (t *l2Tier) writePackFile(shard int, name string, keys []string, pending map[string][]byte) error {
 	dir := t.shardDir(shard)
 	bit := uint32(1) << shard
 	if t.dirs.Load()&bit == 0 {
@@ -216,13 +357,33 @@ func (t *l2Tier) writePack(shard int, name string, pack []byte) error {
 		}
 		t.dirs.Or(bit)
 	}
-	err := os.WriteFile(filepath.Join(dir, name), pack, 0o644)
+	tmp := filepath.Join(dir, fmt.Sprintf("%s.%d-%d.tmp", name, os.Getpid(), tmpSeq.Add(1)))
+	create := func() (*os.File, error) { return os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644) }
+	f, err := create()
 	if errors.Is(err, fs.ErrNotExist) {
 		t.dirs.And(^bit)
 		if err = os.MkdirAll(dir, 0o755); err == nil {
 			t.dirs.Or(bit)
-			err = os.WriteFile(filepath.Join(dir, name), pack, 0o644)
+			f, err = create()
 		}
+	}
+	if err != nil {
+		return err
+	}
+	bw := packWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	writePack(bw, keys, pending)
+	err = bw.Flush()
+	bw.Reset(nil)
+	packWriters.Put(bw)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
 	}
 	return err
 }
@@ -238,41 +399,44 @@ func (t *l2Tier) pendingEntries() int64 {
 	return n
 }
 
-// buildPack serializes the batch: magic, then per entry a length-prefixed
-// key and payload. No per-entry checksum — the file name commits to the
-// hash of the whole pack.
-func buildPack(keys []string, pending map[string][]byte) []byte {
-	size := len(packMagic)
-	for _, k := range keys {
-		size += 8 + len(k) + len(pending[k])
+// indexEntries counts the entries the index can locate on disk.
+func (t *l2Tier) indexEntries() int64 {
+	var n int64
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += int64(len(s.index))
+		s.mu.Unlock()
 	}
-	out := make([]byte, 0, size)
-	out = append(out, packMagic...)
-	var u [4]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint32(u[:], uint32(len(k)))
-		out = append(out, u[:]...)
-		out = append(out, k...)
-		binary.LittleEndian.PutUint32(u[:], uint32(len(pending[k])))
-		out = append(out, u[:]...)
-		out = append(out, pending[k]...)
-	}
-	return out
+	return n
 }
 
-// parsePack decodes a hash-verified pack into the index, payloads aliasing
-// the pack buffer. A structural failure (possible only through format
-// drift, since the hash already matched) rejects the whole pack without
-// touching the index.
-func parsePack(data []byte, into map[string][]byte) bool {
+// writePack serializes the batch into w: magic, then per entry a
+// length-prefixed key and payload. No per-entry checksum — the file name
+// commits to the hash of the whole pack. w must latch its own errors (a
+// hash never fails; bufio.Writer reports the first failure from Flush).
+func writePack(w io.Writer, keys []string, pending map[string][]byte) {
+	io.WriteString(w, packMagic)
+	var u [4]byte
+	for _, k := range keys {
+		v := pending[k]
+		binary.LittleEndian.PutUint32(u[:], uint32(len(k)))
+		w.Write(u[:])
+		io.WriteString(w, k)
+		binary.LittleEndian.PutUint32(u[:], uint32(len(v)))
+		w.Write(u[:])
+		w.Write(v)
+	}
+}
+
+// walkPack checks a hash-verified pack's structure and, when fn is set,
+// calls it with each entry's key, payload offset and payload (both aliasing
+// data). It reports false for a malformed pack; fn may then have seen a
+// prefix of its entries.
+func walkPack(data []byte, fn func(key []byte, off int, val []byte)) bool {
 	if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
 		return false
 	}
-	type rec struct {
-		key string
-		val []byte
-	}
-	var recs []rec
 	off := len(packMagic)
 	for off < len(data) {
 		if off+4 > len(data) {
@@ -283,7 +447,7 @@ func parsePack(data []byte, into map[string][]byte) bool {
 		if klen <= 0 || off+klen > len(data) {
 			return false
 		}
-		key := string(data[off : off+klen])
+		key := data[off : off+klen]
 		off += klen
 		if off+4 > len(data) {
 			return false
@@ -293,11 +457,10 @@ func parsePack(data []byte, into map[string][]byte) bool {
 		if vlen < 0 || off+vlen > len(data) {
 			return false
 		}
-		recs = append(recs, rec{key, data[off : off+vlen : off+vlen]})
+		if fn != nil {
+			fn(key, off, data[off:off+vlen])
+		}
 		off += vlen
-	}
-	for _, r := range recs {
-		into[r.key] = r.val
 	}
 	return true
 }

@@ -36,6 +36,12 @@ func NewWriter(capHint int) *Writer {
 	return &Writer{b: make([]byte, 0, capHint)}
 }
 
+// NewWriterOn returns a writer that appends to buf[:0], reusing its
+// capacity (pooled scratch); Bytes then aliases that storage.
+func NewWriterOn(buf []byte) *Writer {
+	return &Writer{b: buf[:0]}
+}
+
 // Bytes returns the encoded form (aliases the writer's buffer).
 func (w *Writer) Bytes() []byte { return w.b }
 

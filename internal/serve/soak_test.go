@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -243,5 +244,43 @@ func TestSoakWarmCacheUnbounded(t *testing.T) {
 	}
 	if got := srv.Registry().Counter("cache.unit.hit"); got != 4 {
 		t.Fatalf("cache.unit.hit = %d, want 4", got)
+	}
+}
+
+// TestDaemonHeapPlateaus posts distinct generated corpora to one server
+// with a small L1 and requires the live heap to level off: after 40
+// corpora it may exceed the reading after 10 by at most plateauMargin.
+// Each corpus leaves front-end and unit entries behind in the disk tier; a
+// tier that kept their bytes grows about 5 MB per corpus, well past the
+// margin, while its index costs about 100 bytes an entry.
+func TestDaemonHeapPlateaus(t *testing.T) {
+	const plateauMargin = 8 << 20
+	cache, err := analysiscache.Open(t.TempDir(), analysiscache.WithMemory(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	_, ts := newTestServer(t, Config{Workers: 2, Cache: cache, TraceRing: 1})
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var at10 uint64
+	for seed := int64(1); seed <= 40; seed++ {
+		resp, body := postAnalyze(t, ts.URL, AnalyzeRequest{Demo: true, Seed: seed})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("corpus %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+		if seed == 10 {
+			at10 = live()
+		}
+	}
+	at40 := live()
+	t.Logf("live heap after 10 corpora %.1f MB, after 40 %.1f MB", float64(at10)/(1<<20), float64(at40)/(1<<20))
+	if at40 > at10+plateauMargin {
+		t.Fatalf("live heap grew from %.1f MB after 10 corpora to %.1f MB after 40; want at most %d MB growth",
+			float64(at10)/(1<<20), float64(at40)/(1<<20), plateauMargin>>20)
 	}
 }

@@ -33,11 +33,13 @@ go test -race ./...
 # The pooling packages again under -tags arenadebug, which clears every
 # pooled buffer on Put and panics on a released slab: a structure that
 # still aliases recycled storage (a macro body in a TU's pooled lines, an
-# event in the extractor's scratch, a token in a recycled expansion buffer)
-# then reads zeros and fails its test instead of passing on stale data.
+# event in the extractor's scratch, a token in a recycled expansion buffer,
+# a front-end cache entry in its pooled body scratch) then reads zeros and
+# fails its test instead of passing on stale data.
 go test -tags arenadebug ./internal/arena ./internal/clex ./internal/cpp \
     ./internal/cparse ./internal/cpg ./internal/cfg ./internal/semantics \
-    ./internal/facts ./internal/core ./internal/difftest
+    ./internal/facts ./internal/core ./internal/difftest \
+    ./internal/analysiscache
 
 # The benchmark is its own Go module (perfbench/go.mod), so the root
 # `go build ./...` never compiles it: vet and test it here, so a change to a
